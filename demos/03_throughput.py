@@ -6,9 +6,11 @@ The naive generator draws one uniform per recursion level, so an edge
 costs k draws.  The fragment sampler draws whole multi-level fragments
 and reuses leftover bits, so an edge costs about k / E[depth] draws.
 That figure is the algorithmic story; wall-clock throughput also depends
-on the emission kernel, and uniform-depth tables get a packed fast path
-whose advantage dwarfs the sample-count difference in this numpy
-implementation.  The CLI exposes the same sweep as `rmat bench-tablesize`.
+on the emission kernel.  Variable-depth tables go through the word-stream
+kernel, which packs fragments into 64-bit words and cuts each edge as one
+k-bit window.  Uniform-depth tables use a periodic fixed-depth kernel that
+is faster still in this numpy implementation.  The CLI exposes the same
+sweep as `rmat bench-tablesize`.
 """
 
 import time
@@ -53,6 +55,6 @@ for kind, arg in [("fixed", 4), ("fixed", 8), ("variable", 1021), ("variable", 8
     print(f"{label:14s} {len(table):7d}  {spe:10.3f}  {r / 1e6:6.2f}M  {r / naive_rate:7.2f}x")
 
 print("\ndeeper tables always cut draws per edge (k / E[depth]); the")
-print("uniform-depth rows also ride the packed kernel, which is where")
-print(f"the big wall-clock factor comes from (variable 8191 expects "
+print("uniform-depth rows ride the fixed-depth kernel and the variable")
+print(f"rows the word-stream kernel (variable 8191 expects "
       f"{k / table_stats(table).expected_depth:.3f} draws/edge)")

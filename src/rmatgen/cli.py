@@ -464,6 +464,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # Exit 1 is verify's failing verdict, so running out of memory
+        # must not fall through to the interpreter's default.
+        print("error: out of memory; lower -m, or split the run with --tiles "
+              "and --parts", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

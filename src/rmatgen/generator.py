@@ -2,12 +2,24 @@
 
 The emission loop appends each sampled fragment's row and column bits to
 a pair of accumulators and extracts an edge whenever k bits have piled
-up.  `emit_block` is the vectorized form used by `generate`; the
-module-private reference emitter spells out the same loop one fragment
-at a time around an explicit EdgeEmitState, and the test suite keeps the
-two bit-identical.  `naive_edge` / `naive_edges` implement the textbook
-one-draw-per-level generator that serves as the statistical oracle and
-the performance baseline.
+up.  The module-private reference emitter spells out that loop one
+fragment at a time around an explicit EdgeEmitState.  Two vectorized
+kernels produce the same bytes, and the test suite keeps all three
+bit-identical:
+
+- The word-stream kernel serves every table.  It packs the sampled
+  fragments into one uint64 bit stream per side (row and column) and cuts
+  edge j as the k-bit window at bit j*k, a fixed number of vector
+  operations per edge.  It takes a batch of (count, stream) segments and
+  emits their edges back to back, which lets the partition module fill
+  many small tiles in one call.
+- The fixed-depth kernel exploits the periodic alignment of equal-depth
+  fragments with edges.  It serves the blocks of fixed-depth tables, where
+  it is about twice as fast as the word stream.
+
+`naive_edge` / `naive_edges` implement the textbook one-draw-per-level
+generator that serves as the statistical oracle and the performance
+baseline.
 
 Every block of edges comes from its own random stream, keyed by
 (seed, block_index), so any block can be produced on any worker in any
@@ -35,6 +47,8 @@ DEFAULT_BLOCK_SIZE = 1 << 16
 _MAX_WINDOW = 16
 
 _ONE = np.uint64(1)
+_SIX = np.uint64(6)
+_LOW6 = np.uint64(63)
 _MASK32 = np.uint64(0xFFFFFFFF)
 
 
@@ -105,6 +119,7 @@ class _Compiled:
     row_bits: np.ndarray
     col_bits: np.ndarray
     packed: np.ndarray | None  # (row_bits << 32) | col_bits when depths fit
+    bits: np.ndarray  # (2, size) uint64: row bits over column bits
     size: int
     index_mask: np.uint64 | None  # set when size is a power of two
     fixed_depth: int | None  # set when every entry has the same depth
@@ -123,6 +138,7 @@ def _compile(table: FragmentTable) -> _Compiled:
         row_bits=table.row_bits.astype(narrow),
         col_bits=table.col_bits.astype(narrow),
         packed=(table.row_bits << np.uint64(32)) | table.col_bits if dmax <= 32 else None,
+        bits=np.stack([table.row_bits, table.col_bits]).astype(np.uint64),
         size=n,
         index_mask=np.uint64(n - 1) if n & (n - 1) == 0 else None,
         fixed_depth=dmin if dmin == dmax else None,
@@ -232,62 +248,116 @@ def _emit_fixed(comp: _Compiled, k: int, count: int, gen) -> tuple[np.ndarray, i
     return edges, nf
 
 
-def _emit_general(comp: _Compiled, k: int, count: int, gen) -> tuple[np.ndarray, int]:
-    """Kernel for arbitrary (variable-depth) tables.
+def _emit_general(
+    comp: _Compiled, k: int, segments: list[tuple[int, np.random.Generator]]
+) -> tuple[np.ndarray, int]:
+    """Word-stream kernel for arbitrary (variable-depth) tables.
 
-    Samples fragments until their depths cover count*k bits, then splits
-    each fragment at the k-bit edge boundaries it straddles.  Each piece
-    contributes one masked, shifted field to exactly one edge, and a
-    segmented sum over pieces assembles the edges.
+    segments lists (count, stream) pairs whose edges come out back to
+    back.  Each segment samples fragments from its own stream until their
+    depths cover count*k bits, and its last fragment is clamped to end
+    exactly there.  The used fragments of all segments thus form one bit
+    stream, packed most significant bit first into uint64 words (a row
+    word and a column word per 64 bits), and edge j is the k-bit window at
+    bit j*k.  Returns the edges and the number of samples they used.
     """
-    needed = count * k
-    sels: list[np.ndarray] = []
-    short = needed
-    while short > 0:
+    needs = np.array([count * k for count, _ in segments], dtype=np.uint64)
+    sel, csum, lo, base = _cover(comp, needs, [gen for _, gen in segments])
+
+    # A segment's last fragment is the first whose end reaches its base
+    # plus its need; the bits past that point, and later draws, go unused.
+    reach = base + needs
+    last = np.searchsorted(csum, reach)
+    nfs = last - lo + 1
+    if len(segments) == 1:
+        used = sel[: nfs[0]]
+        end = csum[: nfs[0]].copy()
+    else:
+        marks = np.zeros(len(sel) + 1, dtype=np.int8)
+        marks[lo] = 1
+        marks[last + 1] -= 1
+        keep = np.cumsum(marks[:-1]) > 0
+        used = sel[keep]
+        # Rebase each segment's depth sums to where its bits start in the
+        # joint stream.
+        end = csum[keep] - np.repeat(base - (np.cumsum(needs) - needs), nfs)
+    tail = np.cumsum(nfs) - 1
+    cut = csum[last] - reach
+    end[tail] -= cut
+    vals = np.take(comp.bits, used, axis=1)
+    vals[:, tail] >>= cut
+
+    # Shift each fragment so its last bit lands at its place in the word
+    # that holds it, and OR each run of fragments ending in one word into
+    # that word.  Fragments are at most 62 bits deep, so every word holds
+    # at least one fragment end, and only the first fragment ending in a
+    # word can start in the previous one: its spill is ORed in afterwards.
+    shift = -end & _LOW6
+    word = (end - _ONE) >> _SIX
+    first = np.flatnonzero(word[1:] != word[:-1]) + 1
+    spill = (np.take(vals, first, axis=1) >> _ONE) >> (_LOW6 - shift[first])
+    vals <<= shift
+    words = np.bitwise_or.reduceat(vals, np.concatenate(([0], first)), axis=1)
+    words[:, :-1] |= spill
+
+    # Edge j is the top k of the 128 bits of words w and w+1 from offset
+    # off; when it ends inside word w, word w+1 is shifted out entirely.
+    pos = np.arange(int(needs.sum()) // k, dtype=np.uint64) * np.uint64(k)
+    w = (pos >> _SIX).astype(np.intp)
+    off = pos & _LOW6
+    left = np.take(words, w, axis=1)
+    right = np.take(words, w + 1, axis=1, mode="clip")
+    left <<= off
+    right >>= _ONE
+    right >>= _LOW6 - off
+    left |= right
+    edges = np.empty((len(pos), 2), dtype=np.uint64)
+    np.right_shift(left, np.uint64(64 - k), out=edges.T)
+    return edges, int(nfs.sum())
+
+
+def _cover(
+    comp: _Compiled, needs: np.ndarray, gens: list[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fragments whose depths cover needs[i] bits from each stream gens[i].
+
+    Returns the selected entries of all streams back to back, the running
+    sum of their depths, and for each stream the index of its first entry
+    and the depth sum before it.  A stream is drawn in the sizes of its own
+    estimate and top-ups, so one that is drawn from again later sees the
+    same words however the streams were batched.
+    """
+
+    def want(short: int) -> int:
         # Overshooting the estimate is harmless: the random stream is
         # counter-based, so unused tail words never influence anything.
-        want = int(short / comp.mean_depth * 1.05) + 16
-        sel = _select(comp, raw_words(gen, want))
-        sels.append(sel)
-        short -= int(comp.depths[sel].sum())
-    sel = sels[0] if len(sels) == 1 else np.concatenate(sels)
+        return int(short / comp.mean_depth * 1.05) + 16
 
+    draws = [raw_words(gen, want(int(need))) for need, gen in zip(needs, gens)]
+    sel = _select(comp, draws[0] if len(draws) == 1 else np.concatenate(draws))
+    sizes = np.array([len(x) for x in draws])
     csum = np.cumsum(comp.depths[sel])
-    nf = int(np.searchsorted(csum, needed, side="left")) + 1
-    sel = sel[:nf]
-    d = comp.depths[sel]
-    end = np.minimum(csum[:nf], np.uint64(needed))  # clamp: tail bits unused
-    start = csum[:nf] - d
+    lo, base = _run_starts(csum, sizes)
+    short = [int(n) - int(c - b) for n, c, b in zip(needs, csum[lo + sizes - 1], base)]
+    if max(short) <= 0:
+        return sel, csum, lo, base
+    runs = np.split(sel, lo[1:])
+    for i, gen in enumerate(gens):
+        while short[i] > 0:
+            more = _select(comp, raw_words(gen, want(short[i])))
+            runs[i] = np.concatenate([runs[i], more])
+            short[i] -= int(comp.depths[more].sum())
+    sel = np.concatenate(runs)
+    csum = np.cumsum(comp.depths[sel])
+    return sel, csum, *_run_starts(csum, np.array([len(x) for x in runs]))
 
-    kk = np.uint64(k)
-    j0 = start // kk  # first edge a fragment touches
-    j1 = (end - _ONE) // kk  # last edge a fragment touches
-    npieces = (j1 - j0 + _ONE).astype(np.intp)
-    total = int(npieces.sum())
-    fi = np.repeat(np.arange(nf, dtype=np.intp), npieces)
-    first = np.zeros(nf, dtype=np.uint64)
-    np.cumsum(npieces[:-1], dtype=np.uint64, out=first[1:])
-    pe = j0[fi] + (np.arange(total, dtype=np.uint64) - np.repeat(first, npieces))
 
-    s_f = start[fi]
-    e_f = end[fi]
-    lo = np.maximum(s_f, pe * kk)
-    hi = np.minimum(e_f, (pe + _ONE) * kk)
-    mask = (_ONE << (hi - lo)) - _ONE
-    drop = (s_f + d[fi]) - hi
-    place = (pe + _ONE) * kk - hi
-
-    rbs = comp.row_bits[sel]
-    cbs = comp.col_bits[sel]
-    # Every edge owns at least one piece and pe is non-decreasing, so the
-    # segment boundaries are exactly the positions where pe steps up.
-    bounds = np.empty(count, dtype=np.intp)
-    bounds[0] = 0
-    bounds[1:] = np.flatnonzero(pe[1:] != pe[:-1]) + 1
-    edges = np.empty((count, 2), dtype=np.uint64)
-    edges[:, 0] = np.add.reduceat(((rbs[fi] >> drop) & mask) << place, bounds)
-    edges[:, 1] = np.add.reduceat(((cbs[fi] >> drop) & mask) << place, bounds)
-    return edges, nf
+def _run_starts(csum: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index of each run of `sizes` entries, and csum just before it."""
+    lo = np.cumsum(sizes) - sizes
+    base = np.zeros(len(sizes), dtype=np.uint64)
+    base[1:] = csum[lo[1:] - 1]
+    return lo, base
 
 
 def _emit(comp: _Compiled, k: int, count: int, gen) -> tuple[np.ndarray, int]:
@@ -295,7 +365,7 @@ def _emit(comp: _Compiled, k: int, count: int, gen) -> tuple[np.ndarray, int]:
         return np.empty((0, 2), dtype=np.uint64), 0
     if comp.fixed_depth is not None and (k - 1) // comp.fixed_depth + 2 <= _MAX_WINDOW:
         return _emit_fixed(comp, k, count, gen)
-    return _emit_general(comp, k, count, gen)
+    return _emit_general(comp, k, [(count, gen)])
 
 
 def _check_k(k: int) -> None:
@@ -395,14 +465,17 @@ def naive_edges(
     return out
 
 
-def _block_ranges(nblocks: int, parts: int) -> list[tuple[int, int]]:
-    base, extra = divmod(nblocks, parts)
+def _deal_ranges(n: int, parts: int) -> list[tuple[int, int]]:
+    """range(n) cut into `parts` contiguous half-open runs, longest first.
+
+    Run lengths differ by at most one; runs are empty when parts > n.
+    """
+    base, extra = divmod(n, parts)
     ranges = []
     lo = 0
     for i in range(parts):
         hi = lo + base + (1 if i < extra else 0)
-        if hi > lo:
-            ranges.append((lo, hi))
+        ranges.append((lo, hi))
         lo = hi
     return ranges
 
@@ -455,7 +528,7 @@ def generate_result(config: GenConfig) -> GenResult:
             samples += s
         return GenResult(edges, samples)
 
-    ranges = _block_ranges(nblocks, config.threads)
+    ranges = [(lo, hi) for lo, hi in _deal_ranges(nblocks, config.threads) if hi > lo]
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
     with ProcessPoolExecutor(

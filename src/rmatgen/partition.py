@@ -4,8 +4,10 @@ The adjacency matrix is cut into 2^t x 2^t square tiles.  Every part
 re-derives the number of edges in each tile it owns by walking a 4-ary
 recursion whose multinomial splits are keyed by (seed, recursion path):
 identical inputs give identical counts everywhere, so no messages are
-needed.  Tiles are then filled locally by the fast emission loop running
-on the remaining k - t index bits, keyed by (seed, tile coordinates).
+needed.  Tiles are then filled locally on the remaining k - t index
+bits, each from its own stream keyed by (seed, tile coordinates).  The
+word-stream kernel joins the streams of many small tiles into one call
+of at least a block of edges, so its per-call cost is not paid per tile.
 
 Parts own contiguous ranges of tile rows and prune recursion subtrees
 whose rows they do not own, so planning work scales with owned rows, not
@@ -15,11 +17,12 @@ with the whole grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from ._rng import DOMAIN_NODE, DOMAIN_TILE, keyed_stream
-from .generator import _compile, _emit
+from .generator import DEFAULT_BLOCK_SIZE, _compile, _deal_ranges, _emit, _emit_general
 from .params import RmatParams
 from .postprocess import dedup_local
 from .table import FragmentTable
@@ -72,15 +75,7 @@ def default_plan(k: int, t: int, m: int, seed: int, parts: int = 1) -> Partition
     """Plan with tile rows dealt to `parts` in near-equal contiguous runs."""
     if parts < 1:
         raise ValueError(f"parts must be >= 1, got {parts}")
-    rows = 1 << t
-    base, extra = divmod(rows, parts)
-    ranges = []
-    lo = 0
-    for i in range(parts):
-        hi = lo + base + (1 if i < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return PartitionPlan(k=k, t=t, m=m, seed=seed, owner_rows=tuple(ranges))
+    return PartitionPlan(k=k, t=t, m=m, seed=seed, owner_rows=tuple(_deal_ranges(1 << t, parts)))
 
 
 def split_quadrant_counts(
@@ -137,29 +132,68 @@ def plan_tiles(plan: PartitionPlan, params: RmatParams, part: int = 0) -> list[T
     return out
 
 
-def _tile_result(
-    comp, row: int, col: int, count: int, k: int, t: int, seed: int, distinct: bool
-) -> tuple[np.ndarray, int]:
-    """Emit one tile from a precompiled table; also count alias samples."""
-    inner = k - t
-    if distinct and count > 4**inner:
-        raise CountOverflowsTile(f"{count} distinct edges cannot fit {4**inner} cells")
-    if inner == 0:
-        edges = np.empty((count, 2), dtype=np.uint64)
-        edges[:, 0] = row
-        edges[:, 1] = col
-        return edges, 0
+def _tile_stream(tc: TileCount, t: int, seed: int) -> np.random.Generator:
+    return keyed_stream(seed, DOMAIN_TILE, (tc.tile_row << t) | tc.tile_col)
 
-    gen = keyed_stream(seed, DOMAIN_TILE, (row << t) | col)
-    edges, samples = _emit(comp, inner, count, gen)
-    if distinct:
-        edges = dedup_local(edges)
-        while len(edges) < count:
-            more, extra = _emit(comp, inner, count - len(edges), gen)
-            samples += extra
-            edges = dedup_local(np.concatenate([edges, more]))
-    edges[:, 0] |= np.uint64(row << inner)
-    edges[:, 1] |= np.uint64(col << inner)
+
+def _batches(tiles: list[TileCount]) -> Iterator[list[TileCount]]:
+    """Non-empty tiles in order, in runs that close once they hold a block."""
+    batch: list[TileCount] = []
+    size = 0
+    for tc in tiles:
+        if tc.count:
+            batch.append(tc)
+            size += tc.count
+        if size >= DEFAULT_BLOCK_SIZE:
+            yield batch
+            batch, size = [], 0
+    if batch:
+        yield batch
+
+
+def _fill(
+    comp, tiles: list[TileCount], k: int, t: int, seed: int
+) -> tuple[np.ndarray, int]:
+    """Edges of `tiles` back to back, and the alias samples they used.
+
+    Each tile draws from its own stream, and the kernel joins the streams
+    of a batch of tiles into one call.  Closing a batch once it holds a
+    block of edges spreads the per-call cost over many small tiles while
+    keeping the kernel's temporaries near one block in size.
+    """
+    inner = k - t
+    edges = np.empty((sum(tc.count for tc in tiles), 2), dtype=np.uint64)
+    samples = 0
+    pos = 0
+    for batch in _batches(tiles):
+        prefix = np.array([(tc.tile_row, tc.tile_col) for tc in batch], dtype=np.uint64)
+        out = np.repeat(prefix << np.uint64(inner), [tc.count for tc in batch], axis=0)
+        if inner > 0:
+            segments = [(tc.count, _tile_stream(tc, t, seed)) for tc in batch]
+            bits, used = _emit_general(comp, inner, segments)
+            out |= bits
+            samples += used
+        edges[pos : pos + len(out)] = out
+        pos += len(out)
+    return edges, samples
+
+
+def _distinct_tile(comp, tc: TileCount, k: int, t: int, seed: int) -> tuple[np.ndarray, int]:
+    """One tile of distinct edges, resampled from the tile's stream until full."""
+    inner = k - t
+    if tc.count > 4**inner:
+        raise CountOverflowsTile(f"{tc.count} distinct edges cannot fit {4**inner} cells")
+    if inner == 0:
+        return _fill(comp, [tc], k, t, seed)
+    gen = _tile_stream(tc, t, seed)
+    edges, samples = _emit(comp, inner, tc.count, gen)
+    edges = dedup_local(edges)
+    while len(edges) < tc.count:
+        more, extra = _emit(comp, inner, tc.count - len(edges), gen)
+        samples += extra
+        edges = dedup_local(np.concatenate([edges, more]))
+    edges[:, 0] |= np.uint64(tc.tile_row << inner)
+    edges[:, 1] |= np.uint64(tc.tile_col << inner)
     return edges, samples
 
 
@@ -191,8 +225,11 @@ def generate_tile(
         raise ValueError(f"tile ({row}, {col}) outside the 2^{t} grid")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    edges, _ = _tile_result(_compile(table), row, col, count, k, t, seed, distinct)
-    return edges
+    comp = _compile(table)
+    tc = TileCount(tile_row=row, tile_col=col, count=count)
+    if distinct:
+        return _distinct_tile(comp, tc, k, t, seed)[0]
+    return _fill(comp, [tc], k, t, seed)[0]
 
 
 def generate_part(
@@ -202,21 +239,16 @@ def generate_part(
     part: int = 0,
     distinct: bool = False,
 ) -> tuple[np.ndarray, list[TileCount], int]:
-    """All edges of one part, tile by tile.
+    """All edges of one part, in tile order.
 
     Returns (edges, tile counts, alias samples consumed).  The table is
     compiled once and reused across tiles.
     """
     tiles = plan_tiles(plan, params, part)
     comp = _compile(table)
-    chunks = []
-    samples = 0
-    for tc in tiles:
-        edges, used = _tile_result(
-            comp, tc.tile_row, tc.tile_col, tc.count, plan.k, plan.t, plan.seed, distinct
-        )
-        chunks.append(edges)
-        samples += used
-    if chunks:
-        return np.concatenate(chunks), tiles, samples
-    return np.empty((0, 2), dtype=np.uint64), tiles, samples
+    if not distinct:
+        edges, samples = _fill(comp, tiles, plan.k, plan.t, plan.seed)
+        return edges, tiles, samples
+    chunks = [_distinct_tile(comp, tc, plan.k, plan.t, plan.seed) for tc in tiles]
+    edges = np.concatenate([e for e, _ in chunks]) if chunks else np.empty((0, 2), np.uint64)
+    return edges, tiles, sum(s for _, s in chunks)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rmatgen import build_variable_table, dump_table, validate
+import rmatgen.cli as cli_mod
 from rmatgen.cli import _write_file, main
 
 SUMMARY_RE = re.compile(
@@ -285,4 +286,15 @@ def test_generate_into_missing_directory_exits_2(tmp_path, capsys):
                "-o", str(tmp_path / "no" / "such" / "dir" / "x.bin")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    def exhausted(config):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "generate_result", exhausted)
+    rc = main(["generate", "-k", "4", "-m", "10", "-o", str(tmp_path / "x.bin")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: out of memory")
     assert list(tmp_path.iterdir()) == []

@@ -26,6 +26,9 @@ G500 = (0.57, 0.19, 0.19, 0.05)
 def table_for(tag):
     if tag.startswith("f"):
         return fixed_table(G500, 4, int(tag[1:]))
+    if tag.startswith("s"):
+        # skewed and large: fragments up to 62 deep straddle word boundaries
+        return variable_table(SKEWED, 4, int(tag[1:]))
     return variable_table(G500, 4, int(tag[1:]))
 
 
@@ -33,7 +36,7 @@ def table_for(tag):
 # against it pins down every shift, mask, and sample-consumption decision
 # of the vectorized kernels.
 @pytest.mark.parametrize("k", [1, 3, 13, 31, 32, 33, 62])
-@pytest.mark.parametrize("tag", ["f1", "f5", "v253"])
+@pytest.mark.parametrize("tag", ["f1", "f5", "v253", "s8191"])
 @pytest.mark.parametrize("count", [1, 17, 1000])
 def test_vectorized_matches_scalar_reference(k, tag, count):
     table = table_for(tag)
@@ -55,9 +58,28 @@ def test_general_kernel_agrees_with_fixed_kernel():
         assert comp.fixed_depth == depth
         ef, nf = _emit_fixed(comp, k, 3000, keyed_stream(1, DOMAIN_BLOCK, 0))
         forced = dataclasses.replace(comp, fixed_depth=None)
-        eg, ng = _emit_general(forced, k, 3000, keyed_stream(1, DOMAIN_BLOCK, 0))
+        eg, ng = _emit_general(forced, k, [(3000, keyed_stream(1, DOMAIN_BLOCK, 0))])
         assert nf == ng
         assert (ef == eg).all()
+
+
+@pytest.mark.parametrize("k", [13, 62])
+@pytest.mark.parametrize("tag", ["f5", "v253"])
+def test_top_up_draws_match_reference(k, tag):
+    # An estimate four times too high leaves the first draw short for the
+    # counts 17 and 1000, so those streams are topped up, alone and batched.
+    table = table_for(tag)
+    starved = dataclasses.replace(_compile(table), mean_depth=4 * table.mean_depth)
+    counts = [1, 17, 1000]
+    refs = [_emit_reference(table, k, c, (9, i)) for i, c in enumerate(counts)]
+    for i, c in enumerate(counts):
+        got, used = _emit_general(starved, k, [(c, keyed_stream(9, DOMAIN_BLOCK, i))])
+        assert used == refs[i][1]
+        assert (got == refs[i][0]).all()
+    segments = [(c, keyed_stream(9, DOMAIN_BLOCK, i)) for i, c in enumerate(counts)]
+    got, used = _emit_general(starved, k, segments)
+    assert used == sum(r[1] for r in refs)
+    assert (got == np.concatenate([r[0] for r in refs])).all()
 
 
 def test_depth_equal_k_uses_one_sample_per_edge():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import rmatgen.partition as partition_mod
 from rmatgen import (
+    DEFAULT_BLOCK_SIZE,
     CountOverflowsTile,
     PartitionPlan,
     TileCount,
@@ -18,7 +20,7 @@ from rmatgen import (
     pool_small_cells,
     split_quadrant_counts,
 )
-from conftest import UNIFORM, params_for, variable_table
+from conftest import UNIFORM, fixed_table, params_for, variable_table
 
 G500 = (0.57, 0.19, 0.19, 0.05)
 
@@ -328,3 +330,61 @@ def test_partitioned_pooled_output_matches_exact_probs():
     pp, cc = pool_small_cells(probs, hist.counts)
     result = chi_square(cc, pp)
     assert result.passed, f"stat={result.statistic:.1f} thr={result.threshold:.1f}"
+
+
+@pytest.mark.parametrize("kind", ["fixed", "variable"])
+@pytest.mark.parametrize(
+    "k,t,m,parts,part",
+    [
+        (4, 3, 30, 1, 0),  # k - t = 1: mostly empty and count-1 tiles
+        (4, 2, 250_000, 2, 0),  # k - t = 2: a tile larger than one block
+        (33, 2, 500, 2, 1),  # k - t = 31
+        (35, 2, 500, 1, 0),  # k - t = 33
+        (62, 0, 70_000, 1, 0),  # k - t = 62: one tile larger than one block
+    ],
+)
+def test_generate_part_equals_per_tile_generation(kind, k, t, m, parts, part):
+    params = params_for(G500, k)
+    table = fixed_table(G500, k, 5) if kind == "fixed" else variable_table(G500, k, 253)
+    plan = default_plan(k=k, t=t, m=m, seed=5, parts=parts)
+    edges, tiles, _ = generate_part(plan, params, table, part=part)
+    each = [generate_tile(tc, tc.count, params, table, k=k, t=t, seed=5) for tc in tiles]
+    assert edges.shape == (sum(tc.count for tc in tiles), 2)
+    assert np.array_equal(edges, np.concatenate(each))
+
+
+@pytest.mark.parametrize(
+    "kind,samples,digest",
+    [
+        ("variable", 943310, "62532278226aae8d5857f24c0b86df15"),
+        ("fixed", 1145856, "35453d1540e71cfd109e046cba76b398"),
+    ],
+)
+def test_generate_part_bytes_pinned(kind, samples, digest):
+    # Output bytes and sample counts are part of the contract.  Part 0 of
+    # this plan holds a tile larger than one block and spans several batches.
+    k = 14
+    table = fixed_table(G500, k, 5) if kind == "fixed" else variable_table(G500, k, 1021)
+    plan = default_plan(k=k, t=4, m=800_000, seed=2024, parts=3)
+    edges, _, used = generate_part(plan, params_for(G500, k), table, part=0)
+    got = hashlib.blake2b(edges.astype("<u8").tobytes(), digest_size=16).hexdigest()
+    assert (len(edges), used, got) == (572928, samples, digest)
+
+
+def test_generate_part_batches_close_at_one_block(monkeypatch):
+    calls = []
+    original = partition_mod._emit_general
+
+    def counting(comp, k, segments):
+        calls.append([count for count, _ in segments])
+        return original(comp, k, segments)
+
+    monkeypatch.setattr(partition_mod, "_emit_general", counting)
+    k = 14
+    plan = default_plan(k=k, t=5, m=400_000, seed=3, parts=2)
+    edges, tiles, _ = generate_part(plan, params_for(G500, k), variable_table(G500, k, 253))
+    filled = [tc.count for tc in tiles if tc.count]
+    assert [c for batch in calls for c in batch] == filled
+    assert len(calls) < len(filled)
+    for batch in calls[:-1]:
+        assert sum(batch[:-1]) < DEFAULT_BLOCK_SIZE <= sum(batch)
