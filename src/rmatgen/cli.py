@@ -198,12 +198,45 @@ def _write_file(path: str, write_body) -> None:
         raise
 
 
+def _text_block(edges: np.ndarray) -> np.ndarray:
+    """What `np.savetxt(f, edges, fmt="%d")` writes for a non-empty (n, 2) block, as uint8.
+
+    Digits go right-aligned into a (W+1, 2n) uint8 matrix, one column per
+    id, W being the digit count of the block's largest id.  Row W holds the
+    ' ' or '\n' after each id.  Masking off each id's leading zeros and
+    reading the matrix column by column gives the lines.
+    """
+    top = int(edges.max())
+    width = len(str(top))
+    x = edges.astype(np.uint32 if top < 1 << 32 else np.uint64).ravel()
+    digits = np.empty((width + 1, x.size), dtype=np.uint8)
+    digits[width, 0::2] = ord(" ")
+    digits[width, 1::2] = ord("\n")
+    lead = np.full(x.size, width - 1, dtype=np.uint8)  # row of each id's first digit
+    q = np.empty_like(x)
+    for j in range(width - 1, -1, -1):
+        np.floor_divide(x, 10, out=q)
+        np.subtract(x, q * 10, out=x)  # x % 10; np.remainder measured several times slower
+        np.add(x, ord("0"), out=digits[j], casting="unsafe")
+        x, q = q, x
+        if j:
+            lead -= x > 0
+    keep = np.arange(width + 1, dtype=np.uint8)[:, None] >= lead
+    return digits.T[keep.T]
+
+
 def _write_edges(path: str, fmt: str, edges: np.ndarray) -> None:
     if fmt == "binary":
         # Consecutive (u, v) records of two 64-bit little-endian uints.
         _write_file(path, lambda f: edges.astype("<u8", copy=False).tofile(f))
-    else:
-        _write_file(path, lambda f: np.savetxt(f, edges, fmt="%d"))
+        return
+
+    def write_lines(f) -> None:
+        # 'u v' lines, formatted one block at a time so memory stays O(block).
+        for lo in range(0, len(edges), DEFAULT_BLOCK_SIZE):
+            f.write(_text_block(edges[lo : lo + DEFAULT_BLOCK_SIZE]))
+
+    _write_file(path, write_lines)
 
 
 def _write_text(path: str | None, lines: list[str]) -> None:
@@ -224,8 +257,9 @@ def run_generate(config: RunConfig) -> int:
         )
     table = _build_table(config, params)
 
-    # Timed region covers edge generation and postprocessing, not table
-    # construction or file output.
+    # seconds= covers tile planning, edge generation and postprocessing;
+    # table construction is outside it, and write_seconds= times the file
+    # write.
     t0 = time.perf_counter()
     if config.tiles is not None:
         plan = default_plan(config.k, config.tiles, config.m, config.seed, config.parts)
@@ -251,12 +285,15 @@ def run_generate(config: RunConfig) -> int:
         edges = scramble_edges(edges, make_scramble_key(config.seed, config.k))
     elapsed = max(time.perf_counter() - t0, 1e-9)
 
+    t1 = time.perf_counter()
     if config.fmt != "none":
         _write_edges(config.out, config.fmt, edges)
+    write_s = time.perf_counter() - t1
     print(
         f"edges={len(edges)} seconds={elapsed:.3f} "
         f"edges_per_sec={generated / elapsed:.0f} samples={samples} "
-        f"samples_per_edge={samples / max(generated, 1):.4f}"
+        f"samples_per_edge={samples / max(generated, 1):.4f} "
+        f"write_seconds={write_s:.3f}"
     )
     return 0
 

@@ -1,11 +1,12 @@
 """Per-edge postprocessing: mirroring, ID scrambling, duplicate removal.
 
-All three stages cost constant work per edge and are pure functions, so
-they compose freely with blockwise or tile-wise generation: mirroring
-canonicalizes an edge into the lower-left triangle, scrambling applies a
-seed-determined permutation to vertex IDs so structural position no
-longer correlates with ID value, and dedup_local removes repeats within
-one block or tile.
+All three stages are pure functions, so they compose freely with
+blockwise or tile-wise generation.  Mirroring canonicalizes an edge into
+the lower-left triangle and scrambling applies a seed-determined
+permutation to vertex IDs, so structural position no longer correlates
+with ID value; both cost constant work per edge.  dedup_local removes
+repeats within one block or tile by sorting, O(log m) work per edge over
+a batch of m edges.
 """
 
 from __future__ import annotations
@@ -120,7 +121,17 @@ def dedup_local(
             raise EdgeOutsideDeclaredTile(f"col outside [{lo}, {hi})")
     if len(edges) == 0:
         return edges.copy()
-    pairs = np.ascontiguousarray(edges).view([("u", edges.dtype), ("v", edges.dtype)]).ravel()
-    _, first = np.unique(pairs, return_index=True)
+    u, v = edges[:, 0], edges[:, 1]
+    vbits = int(v.max()).bit_length()
+    if edges.dtype.kind == "u" and int(u.max()).bit_length() + vbits <= 64:
+        # Both ids fit one uint64 key; np.unique returns first occurrences.
+        key = (u.astype(np.uint64, copy=False) << np.uint64(vbits)) | v
+        _, first = np.unique(key, return_index=True)
+    else:
+        order = np.lexsort((v, u))  # stable, so each run of equal pairs starts at its first
+        su, sv = u[order], v[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])
+        first = order[new]
     first.sort()
     return edges[first]

@@ -1,10 +1,12 @@
+import hashlib
+import io
 import os
 import re
 
 import numpy as np
 import pytest
 
-from rmatgen import build_variable_table, dump_table, validate
+from rmatgen import DEFAULT_BLOCK_SIZE, build_variable_table, dump_table, validate
 import rmatgen.cli as cli_mod
 from rmatgen.cli import _write_file, main
 
@@ -35,8 +37,10 @@ def gen(tmp_path, name, *extra):
 def test_generate_binary_file_and_summary(tmp_path, capsys):
     path = gen(tmp_path, "edges.bin")
     assert os.path.getsize(path) == 1000 * 16
-    match = SUMMARY_RE.search(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    match = SUMMARY_RE.search(out)
     assert match and match.group(1) == "1000"
+    assert re.search(r"samples_per_edge=\d+\.\d{4} write_seconds=\d+\.\d{3}\n$", out)
 
 
 def test_generate_binary_deterministic(tmp_path):
@@ -50,6 +54,68 @@ def test_generate_text_matches_binary(tmp_path):
     text = gen(tmp_path, "e.txt", "--format", "text")
     from_text = np.loadtxt(text, dtype=np.uint64).reshape(-1, 2)
     assert np.array_equal(from_text, read_binary(binary))
+
+
+def savetxt_bytes(edges):
+    buf = io.BytesIO()
+    np.savetxt(buf, edges, fmt="%d")
+    return buf.getvalue()
+
+
+def decimal_boundaries():
+    vals = [v for j in range(1, 19) for v in (10**j - 1, 10**j)] + [0, 2**64 - 1]
+    vals = np.array(vals, dtype=np.uint64)
+    return np.stack([vals, vals[::-1]], axis=1)
+
+
+def mixed_widths(rows):
+    # Ids of 1 to 12 digits; the widest sits in the last row, so the last
+    # block is wider than the ones before it.
+    rng = np.random.default_rng(rows)
+    edges = rng.integers(0, 10 ** rng.integers(1, 12, size=(rows, 2)), dtype=np.uint64)
+    edges[-1, 1] = 10**12 - 1
+    return edges
+
+
+TEXT_CASES = {
+    "one_row": np.array([[3, 14]], dtype=np.uint64),
+    **{
+        f"pow2_k{k}": np.array([[0, 2**k - 1], [2**k - 1, 0], [2**k - 1, 2**k - 1]],
+                               dtype=np.uint64)
+        for k in (1, 16, 32, 33, 62)
+    },
+    "decimal_boundaries": decimal_boundaries(),
+    **{f"rows_block{d:+d}": mixed_widths(DEFAULT_BLOCK_SIZE + d) for d in (-1, 0, 1)},
+}
+
+
+@pytest.mark.parametrize("name", TEXT_CASES)
+def test_text_write_matches_savetxt(tmp_path, name):
+    edges = TEXT_CASES[name]
+    path = tmp_path / "e.txt"
+    cli_mod._write_edges(str(path), "text", edges)
+    assert path.read_bytes() == savetxt_bytes(edges)
+
+
+def test_text_write_empty_is_zero_bytes(tmp_path):
+    path = tmp_path / "e.txt"
+    cli_mod._write_edges(str(path), "text", np.empty((0, 2), dtype=np.uint64))
+    assert path.read_bytes() == b"" == savetxt_bytes(np.empty((0, 2), dtype=np.uint64))
+    rc = main(["generate", "-k", "4", "-m", "0", "--dedup", "--format", "text",
+               "-o", str(tmp_path / "m0.txt")])
+    assert rc == 0
+    assert (tmp_path / "m0.txt").read_bytes() == b""
+
+
+def test_generate_text_bytes_pinned(tmp_path):
+    # Digest of the output written before dedup and the text write were
+    # vectorized; undirected, scramble and dedup all feed into it.
+    path = tmp_path / "pin.txt"
+    rc = main(["generate", "-k", "16", "-m", "20000", "--table", "fixed", "--depth", "8",
+               "--undirected", "--scramble", "--dedup", "--format", "text", "-o", str(path)])
+    assert rc == 0
+    got = hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
+    assert got == "0179ef54f79bb5a58d0db2c1f7ea4834"
 
 
 def test_generate_format_none_writes_nothing(tmp_path, capsys, monkeypatch):

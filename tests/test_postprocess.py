@@ -214,3 +214,78 @@ def test_dedup_rejects_col_outside_tile():
 def test_dedup_empty_with_ranges_is_fine():
     out = dedup_local(np.empty((0, 2), dtype=np.uint64), row_range=(0, 1), col_range=(0, 1))
     assert len(out) == 0
+
+
+def structured_dedup(edges):
+    """Oracle: the former dedup_local, np.unique over a structured (u, v) view."""
+    if len(edges) == 0:
+        return edges.copy()
+    pairs = np.ascontiguousarray(edges).view([("u", edges.dtype), ("v", edges.dtype)]).ravel()
+    _, first = np.unique(pairs, return_index=True)
+    first.sort()
+    return edges[first]
+
+
+def edges_with_repeats(seed, n, ubits, vbits, dtype=np.uint64):
+    rng = np.random.default_rng(seed)
+    umax, vmax = (1 << ubits) - 1, (1 << vbits) - 1
+    edges = np.empty((n, 2), dtype=dtype)
+    edges[:, 0] = rng.integers(0, umax, size=n, dtype=dtype, endpoint=True)
+    # Few distinct v per u in a narrow band, so pairs also collide by chance.
+    edges[:, 1] = rng.integers(0, min(vmax, 7), size=n, dtype=dtype, endpoint=True)
+    edges[n // 2 :, 1] = rng.integers(0, vmax, size=n - n // 2, dtype=dtype, endpoint=True)
+    edges[0] = (umax, vmax)  # pin the bit widths
+    src = rng.integers(0, n, size=n // 3)
+    dst = rng.integers(0, n, size=n // 3)
+    edges[dst] = edges[src]
+    return edges
+
+
+@pytest.mark.parametrize(
+    "ubits,vbits,dtype,lexsort",
+    [
+        (1, 1, np.uint64, False),
+        (8, 8, np.uint64, False),
+        (20, 20, np.uint64, False),
+        (32, 32, np.uint64, False),
+        (33, 31, np.uint64, False),
+        (62, 2, np.uint64, False),
+        (33, 32, np.uint64, True),
+        (40, 40, np.uint64, True),
+        (62, 62, np.uint64, True),
+        (64, 64, np.uint64, True),
+        (20, 20, np.int64, True),
+    ],
+)
+def test_dedup_matches_structured_oracle(monkeypatch, ubits, vbits, dtype, lexsort):
+    # Ids of 2^32 and more force the lexsort fallback; the spy checks which path ran.
+    calls = []
+    real = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or real(keys))
+    edges = edges_with_repeats(ubits * 100 + vbits, 20000, ubits, vbits, dtype)
+    got = dedup_local(edges)
+    assert bool(calls) == lexsort
+    assert got.dtype == edges.dtype
+    assert np.array_equal(got, structured_dedup(edges))
+    assert len(got) < len(edges)
+
+
+@pytest.mark.parametrize("base", [0, 1 << 40])
+def test_dedup_keeps_first_occurrences_in_order(base):
+    rng = np.random.default_rng(base % 97 + 3)
+    edges = rng.integers(base, base + 50, size=(3000, 2), dtype=np.uint64)
+    first_seen = {}
+    for i, pair in enumerate(map(tuple, edges.tolist())):
+        first_seen.setdefault(pair, i)
+    assert np.array_equal(dedup_local(edges), edges[sorted(first_seen.values())])
+
+
+@pytest.mark.parametrize("base", [0, 1 << 40])
+def test_dedup_range_checks_hold_on_both_paths(base):
+    rows, cols = (base + 4, base + 6), (base + 8, base + 10)
+    inside = edges_of((base + 4, base + 9), (base + 4, base + 9), (base + 5, base + 8))
+    assert dedup_local(inside, row_range=rows, col_range=cols).tolist() == inside[[0, 2]].tolist()
+    with pytest.raises(EdgeOutsideDeclaredTile):
+        dedup_local(edges_of((base + 4, base + 9), (base + 6, base + 9)), rows, cols)
+    with pytest.raises(EdgeOutsideDeclaredTile):
+        dedup_local(edges_of((base + 4, base + 9), (base + 5, base + 3)), rows, cols)
