@@ -39,8 +39,10 @@ from .params import (
     validate,
 )
 from .partition import (
+    MAX_STALLED_ROUNDS,
     MAX_TILE_BITS,
     CountOverflowsTile,
+    DistinctFillStalled,
     PartitionPlan,
     TileCount,
     default_plan,
@@ -97,7 +99,8 @@ __all__ = [
     "generate", "generate_result", "naive_edge", "naive_edges",
     "GRAPH500", "MAX_K", "BadExponent", "NegativeOrZeroWeight", "RmatParams",
     "SumOutOfTolerance", "entropy", "speedup_bound", "validate",
-    "MAX_TILE_BITS", "CountOverflowsTile", "PartitionPlan", "TileCount",
+    "MAX_STALLED_ROUNDS", "MAX_TILE_BITS", "CountOverflowsTile",
+    "DistinctFillStalled", "PartitionPlan", "TileCount",
     "default_plan", "generate_part", "generate_tile", "plan_tiles",
     "split_quadrant_counts",
     "EdgeOutsideDeclaredTile", "ScrambleKey", "dedup_local",

@@ -23,7 +23,9 @@ baseline.
 
 Every block of edges comes from its own random stream, keyed by
 (seed, block_index), so any block can be produced on any worker in any
-order with identical results.
+order with identical results.  The kernels take `_rng.Stream` handles,
+which re-key one shared Philox per thread instead of building a
+Generator per block.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._rng import DOMAIN_BLOCK, DOMAIN_ORACLE, keyed_stream, raw_words
+from ._rng import DOMAIN_BLOCK, DOMAIN_ORACLE, Stream, keyed_stream
 from .alias import alias_sample
 from .params import MAX_K, BadExponent, RmatParams
 from .table import FragmentTable
@@ -183,7 +185,7 @@ def _fixed_plan(k: int, l: int) -> tuple[int, int, list[list[tuple[int, int, int
     return ge, gf, plan
 
 
-def _emit_fixed(comp: _Compiled, k: int, count: int, gen) -> tuple[np.ndarray, int]:
+def _emit_fixed(comp: _Compiled, k: int, count: int, stream: Stream) -> tuple[np.ndarray, int]:
     """Kernel for tables where every fragment has the same depth.
 
     Geometry is periodic, so the block is reshaped into rows of ge edges
@@ -196,7 +198,7 @@ def _emit_fixed(comp: _Compiled, k: int, count: int, gen) -> tuple[np.ndarray, i
     ge, gf, plan = _fixed_plan(k, l)
     nsuper = (count + ge - 1) // ge
     nf = (count * k + l - 1) // l  # minimal cover; the pad words below
-    sel = _select(comp, raw_words(gen, nsuper * gf))  # are never observable
+    sel = _select(comp, stream.words(nsuper * gf))  # are never observable
 
     if comp.packed is not None and k <= 32:
         # Row bits ride in the high 32-bit lane and column bits in the low
@@ -249,7 +251,7 @@ def _emit_fixed(comp: _Compiled, k: int, count: int, gen) -> tuple[np.ndarray, i
 
 
 def _emit_general(
-    comp: _Compiled, k: int, segments: list[tuple[int, np.random.Generator]]
+    comp: _Compiled, k: int, segments: list[tuple[int, Stream]]
 ) -> tuple[np.ndarray, int]:
     """Word-stream kernel for arbitrary (variable-depth) tables.
 
@@ -262,7 +264,7 @@ def _emit_general(
     bit j*k.  Returns the edges and the number of samples they used.
     """
     needs = np.array([count * k for count, _ in segments], dtype=np.uint64)
-    sel, csum, lo, base = _cover(comp, needs, [gen for _, gen in segments])
+    sel, csum, lo, base = _cover(comp, needs, [stream for _, stream in segments])
 
     # A segment's last fragment is the first whose end reaches its base
     # plus its need; the bits past that point, and later draws, go unused.
@@ -317,9 +319,9 @@ def _emit_general(
 
 
 def _cover(
-    comp: _Compiled, needs: np.ndarray, gens: list[np.random.Generator]
+    comp: _Compiled, needs: np.ndarray, streams: list[Stream]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fragments whose depths cover needs[i] bits from each stream gens[i].
+    """Fragments whose depths cover needs[i] bits from each of the streams.
 
     Returns the selected entries of all streams back to back, the running
     sum of their depths, and for each stream the index of its first entry
@@ -333,7 +335,7 @@ def _cover(
         # counter-based, so unused tail words never influence anything.
         return int(short / comp.mean_depth * 1.05) + 16
 
-    draws = [raw_words(gen, want(int(need))) for need, gen in zip(needs, gens)]
+    draws = [stream.words(want(int(need))) for need, stream in zip(needs, streams)]
     sel = _select(comp, draws[0] if len(draws) == 1 else np.concatenate(draws))
     sizes = np.array([len(x) for x in draws])
     csum = np.cumsum(comp.depths[sel])
@@ -342,9 +344,9 @@ def _cover(
     if max(short) <= 0:
         return sel, csum, lo, base
     runs = np.split(sel, lo[1:])
-    for i, gen in enumerate(gens):
+    for i, stream in enumerate(streams):
         while short[i] > 0:
-            more = _select(comp, raw_words(gen, want(short[i])))
+            more = _select(comp, stream.words(want(short[i])))
             runs[i] = np.concatenate([runs[i], more])
             short[i] -= int(comp.depths[more].sum())
     sel = np.concatenate(runs)
@@ -360,12 +362,12 @@ def _run_starts(csum: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.nda
     return lo, base
 
 
-def _emit(comp: _Compiled, k: int, count: int, gen) -> tuple[np.ndarray, int]:
+def _emit(comp: _Compiled, k: int, count: int, stream: Stream) -> tuple[np.ndarray, int]:
     if count == 0:
         return np.empty((0, 2), dtype=np.uint64), 0
     if comp.fixed_depth is not None and (k - 1) // comp.fixed_depth + 2 <= _MAX_WINDOW:
-        return _emit_fixed(comp, k, count, gen)
-    return _emit_general(comp, k, [(count, gen)])
+        return _emit_fixed(comp, k, count, stream)
+    return _emit_general(comp, k, [(count, stream)])
 
 
 def _check_k(k: int) -> None:
@@ -386,8 +388,8 @@ def emit_block(
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     seed, block_index = stream_key
-    gen = keyed_stream(int(seed), DOMAIN_BLOCK, int(block_index))
-    edges, _ = _emit(_compile(table), int(k), int(count), gen)
+    stream = Stream(int(seed), DOMAIN_BLOCK, int(block_index))
+    edges, _ = _emit(_compile(table), int(k), int(count), stream)
     return edges
 
 
@@ -398,7 +400,8 @@ def _emit_reference(
 
     Consumes the identical word stream and must produce bit-identical
     edges; it exists so the vectorized kernels have something honest to
-    be compared against.
+    be compared against.  It draws from numpy's own keyed Generator, so
+    the comparison also checks the kernels' re-keyed Stream handles.
     """
     seed, block_index = stream_key
     gen = keyed_stream(int(seed), DOMAIN_BLOCK, int(block_index))
@@ -408,7 +411,7 @@ def _emit_reference(
     emitted = 0
     samples = 0
     while emitted < count:
-        w = int(raw_words(gen, 1)[0])
+        w = int(gen.bit_generator.random_raw())
         e = int(alias_sample(table.sampler, ((w >> 32) % n, (w & 0xFFFFFFFF) * 2.0**-32)))
         samples += 1
         d = int(table.depths[e])
@@ -493,7 +496,7 @@ def _run_range(comp, k, seed, block_size, m, lo, hi):
     samples = 0
     for b in range(lo, hi):
         count = min(block_size, m - b * block_size)
-        eb, s = _emit(comp, k, count, keyed_stream(seed, DOMAIN_BLOCK, b))
+        eb, s = _emit(comp, k, count, Stream(seed, DOMAIN_BLOCK, b))
         parts.append(eb)
         samples += s
     return np.concatenate(parts), samples
@@ -523,7 +526,7 @@ def generate_result(config: GenConfig) -> GenResult:
         samples = 0
         for b in range(nblocks):
             count = min(B, m - b * B)
-            eb, s = _emit(comp, k, count, keyed_stream(config.seed, DOMAIN_BLOCK, b))
+            eb, s = _emit(comp, k, count, Stream(config.seed, DOMAIN_BLOCK, b))
             edges[b * B : b * B + count] = eb
             samples += s
         return GenResult(edges, samples)

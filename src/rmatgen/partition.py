@@ -9,6 +9,14 @@ bits, each from its own stream keyed by (seed, tile coordinates).  The
 word-stream kernel joins the streams of many small tiles into one call
 of at least a block of edges, so its per-call cost is not paid per tile.
 
+Neither a split node nor a tile builds a numpy Generator.  A split node
+re-keys the thread's shared Generator (`_rng.rekeyed`) and makes its
+three binomial draws; a tile is a `_rng.Stream` handle, which the
+kernels re-key on each draw.  Distinct mode continues a tile's stream
+from where its last round stopped, and gives up with
+DistinctFillStalled after MAX_STALLED_ROUNDS rounds in a row that add no
+new cell.
+
 Parts own contiguous ranges of tile rows and prune recursion subtrees
 whose rows they do not own, so planning work scales with owned rows, not
 with the whole grid.
@@ -21,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._rng import DOMAIN_NODE, DOMAIN_TILE, keyed_stream
+from ._rng import DOMAIN_NODE, DOMAIN_TILE, Stream, rekeyed
 from .generator import DEFAULT_BLOCK_SIZE, _compile, _deal_ranges, _emit, _emit_general
 from .params import RmatParams
 from .postprocess import dedup_local
@@ -30,9 +38,21 @@ from .table import FragmentTable
 #: Tile coordinates are packed into one 64-bit stream key as (row << t) | col.
 MAX_TILE_BITS = 31
 
+#: Distinct mode gives up on a tile after this many resampling rounds in a
+#: row add no new cell.  A round draws at least one edge, so a tile whose
+#: missing cells have probability q per edge stalls with probability at
+#: most exp(-q * MAX_STALLED_ROUNDS): under 0.1% for q above 0.0034.  On
+#: skewed models near 4^(k-t) edges, q can be 1e-5 or less, and without
+#: the bound such a tile resamples for minutes to hours.
+MAX_STALLED_ROUNDS = 2048
+
 
 class CountOverflowsTile(ValueError):
     """Distinct-edge mode asked for more edges than the tile has cells."""
+
+
+class DistinctFillStalled(ValueError):
+    """Distinct-edge mode stopped finding new cells before the tile was full."""
 
 
 @dataclass(frozen=True)
@@ -89,12 +109,14 @@ def split_quadrant_counts(
     algebraically equal b/(1-a) and c/(1-a-b), which can land one ulp
     above 1 and be rejected by the sampler.  All randomness comes from the
     stream keyed by node_key = (seed, recursion path), so any two parts
-    evaluating the same node get the same tuple.
+    evaluating the same node get the same tuple.  The draws come from the
+    thread's re-keyed Generator; the binomial setup it caches depends only
+    on (n, p), so carrying it from node to node does not change them.
     """
     if count == 0:
         return (0, 0, 0, 0)
     seed, path = node_key
-    gen = keyed_stream(seed, DOMAIN_NODE, path)
+    gen = rekeyed(seed, DOMAIN_NODE, path)
     a, b, c, d = params.quadrants
     n_a = int(gen.binomial(count, a))
     rest = count - n_a
@@ -132,8 +154,8 @@ def plan_tiles(plan: PartitionPlan, params: RmatParams, part: int = 0) -> list[T
     return out
 
 
-def _tile_stream(tc: TileCount, t: int, seed: int) -> np.random.Generator:
-    return keyed_stream(seed, DOMAIN_TILE, (tc.tile_row << t) | tc.tile_col)
+def _tile_stream(tc: TileCount, t: int, seed: int) -> Stream:
+    return Stream(seed, DOMAIN_TILE, (tc.tile_row << t) | tc.tile_col)
 
 
 def _batches(tiles: list[TileCount]) -> Iterator[list[TileCount]]:
@@ -179,19 +201,32 @@ def _fill(
 
 
 def _distinct_tile(comp, tc: TileCount, k: int, t: int, seed: int) -> tuple[np.ndarray, int]:
-    """One tile of distinct edges, resampled from the tile's stream until full."""
+    """One tile of distinct edges, resampled from the tile's stream until full.
+
+    Each round draws as many edges as cells are missing, continuing the
+    tile's stream.  Raises DistinctFillStalled after MAX_STALLED_ROUNDS
+    rounds in a row that add no new cell.
+    """
     inner = k - t
     if tc.count > 4**inner:
         raise CountOverflowsTile(f"{tc.count} distinct edges cannot fit {4**inner} cells")
     if inner == 0:
         return _fill(comp, [tc], k, t, seed)
-    gen = _tile_stream(tc, t, seed)
-    edges, samples = _emit(comp, inner, tc.count, gen)
+    stream = _tile_stream(tc, t, seed)
+    edges, samples = _emit(comp, inner, tc.count, stream)
     edges = dedup_local(edges)
+    stalled = 0
     while len(edges) < tc.count:
-        more, extra = _emit(comp, inner, tc.count - len(edges), gen)
+        if stalled == MAX_STALLED_ROUNDS:
+            raise DistinctFillStalled(
+                f"tile ({tc.tile_row}, {tc.tile_col}) found no new cell in "
+                f"{MAX_STALLED_ROUNDS} rounds at {len(edges)} of {tc.count} distinct edges"
+            )
+        more, extra = _emit(comp, inner, tc.count - len(edges), stream)
         samples += extra
+        have = len(edges)
         edges = dedup_local(np.concatenate([edges, more]))
+        stalled = stalled + 1 if len(edges) == have else 0
     edges[:, 0] |= np.uint64(tc.tile_row << inner)
     edges[:, 1] |= np.uint64(tc.tile_col << inner)
     return edges, samples

@@ -16,7 +16,7 @@ from rmatgen import (
     naive_edges,
     validate,
 )
-from rmatgen._rng import DOMAIN_BLOCK, keyed_stream
+from rmatgen._rng import DOMAIN_BLOCK, Stream, keyed_stream
 from rmatgen.generator import _compile, _emit, _emit_fixed, _emit_general, _emit_reference
 from conftest import SKEWED, UNIFORM, params_for, fixed_table, variable_table
 
@@ -56,9 +56,9 @@ def test_general_kernel_agrees_with_fixed_kernel():
         table = fixed_table(G500, 4, depth)
         comp = _compile(table)
         assert comp.fixed_depth == depth
-        ef, nf = _emit_fixed(comp, k, 3000, keyed_stream(1, DOMAIN_BLOCK, 0))
+        ef, nf = _emit_fixed(comp, k, 3000, Stream(1, DOMAIN_BLOCK, 0))
         forced = dataclasses.replace(comp, fixed_depth=None)
-        eg, ng = _emit_general(forced, k, [(3000, keyed_stream(1, DOMAIN_BLOCK, 0))])
+        eg, ng = _emit_general(forced, k, [(3000, Stream(1, DOMAIN_BLOCK, 0))])
         assert nf == ng
         assert (ef == eg).all()
 
@@ -73,10 +73,10 @@ def test_top_up_draws_match_reference(k, tag):
     counts = [1, 17, 1000]
     refs = [_emit_reference(table, k, c, (9, i)) for i, c in enumerate(counts)]
     for i, c in enumerate(counts):
-        got, used = _emit_general(starved, k, [(c, keyed_stream(9, DOMAIN_BLOCK, i))])
+        got, used = _emit_general(starved, k, [(c, Stream(9, DOMAIN_BLOCK, i))])
         assert used == refs[i][1]
         assert (got == refs[i][0]).all()
-    segments = [(c, keyed_stream(9, DOMAIN_BLOCK, i)) for i, c in enumerate(counts)]
+    segments = [(c, Stream(9, DOMAIN_BLOCK, i)) for i, c in enumerate(counts)]
     got, used = _emit_general(starved, k, segments)
     assert used == sum(r[1] for r in refs)
     assert (got == np.concatenate([r[0] for r in refs])).all()
@@ -101,7 +101,7 @@ def test_long_fragment_completes_multiple_edges():
 def test_emit_block_single_edge_single_sample():
     table = fixed_table(G500, 4, 4)
     comp = _compile(table)
-    edges, nf = _emit(comp, 4, 1, keyed_stream(7, DOMAIN_BLOCK, 0))
+    edges, nf = _emit(comp, 4, 1, Stream(7, DOMAIN_BLOCK, 0))
     assert nf == 1 and edges.shape == (1, 2)
 
 

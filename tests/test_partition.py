@@ -7,7 +7,9 @@ import pytest
 import rmatgen.partition as partition_mod
 from rmatgen import (
     DEFAULT_BLOCK_SIZE,
+    MAX_STALLED_ROUNDS,
     CountOverflowsTile,
+    DistinctFillStalled,
     PartitionPlan,
     TileCount,
     cell_histogram,
@@ -20,7 +22,7 @@ from rmatgen import (
     pool_small_cells,
     split_quadrant_counts,
 )
-from conftest import UNIFORM, fixed_table, params_for, variable_table
+from conftest import SKEWED, UNIFORM, fixed_table, params_for, variable_table
 
 G500 = (0.57, 0.19, 0.19, 0.05)
 
@@ -258,6 +260,31 @@ def test_tile_distinct_mode_rejects_overflow():
         generate_tile((3, 3), 2, params, table, k=4, t=4, seed=1, distinct=True)
 
 
+def test_tile_distinct_mode_stalls_on_unreachable_cells():
+    # The rarest of SKEWED's 64 cells at k=3 has probability 0.025^3, so
+    # filling all of them takes tens of thousands of rounds; the bound
+    # gives up after MAX_STALLED_ROUNDS fruitless ones, in well under 1 s.
+    k = 3
+    table = fixed_table(SKEWED, k, 3)
+    with pytest.raises(DistinctFillStalled, match=f"{MAX_STALLED_ROUNDS} rounds"):
+        generate_tile((0, 0), 4**k, params_for(SKEWED, k), table, k=k, t=0, seed=1,
+                      distinct=True)
+    assert issubclass(DistinctFillStalled, ValueError)  # the CLI's exit 2
+
+
+def test_tile_distinct_mode_bound_counts_consecutive_rounds(monkeypatch):
+    # The last cell of this tile arrives after 1026 fruitless rounds in a
+    # row, so a bound of 1026 stops it one round early.
+    k, t = 4, 2
+    table = variable_table(G500, k, 253)
+    args = ((1, 3), 16, params_for(G500, k), table)
+    monkeypatch.setattr(partition_mod, "MAX_STALLED_ROUNDS", 1026)
+    with pytest.raises(DistinctFillStalled, match="at 15 of 16"):
+        generate_tile(*args, k=k, t=t, seed=7, distinct=True)
+    monkeypatch.setattr(partition_mod, "MAX_STALLED_ROUNDS", 1027)
+    assert len(generate_tile(*args, k=k, t=t, seed=7, distinct=True)) == 16
+
+
 def test_tile_validation_errors():
     table = variable_table(G500, 4, 253)
     params = params_for(G500, 4)
@@ -369,6 +396,36 @@ def test_generate_part_bytes_pinned(kind, samples, digest):
     edges, _, used = generate_part(plan, params_for(G500, k), table, part=0)
     got = hashlib.blake2b(edges.astype("<u8").tobytes(), digest_size=16).hexdigest()
     assert (len(edges), used, got) == (572928, samples, digest)
+
+
+@pytest.mark.parametrize(
+    "kind,samples,digest",
+    [
+        ("variable", 13779, "6a07f2062daee0685195a5a93afb7cc1"),
+        ("fixed", 22238, "d465ca9a6f765e603147258c2d6269e0"),
+    ],
+)
+def test_generate_part_distinct_bytes_pinned(kind, samples, digest, monkeypatch):
+    # Recorded while every tile still built its own Generator.  The tiles
+    # of this plan take about three top-up rounds each, and every one
+    # resumes its tile's stream where the previous round stopped drawing.
+    rounds = []
+    original = partition_mod._emit
+
+    def counting(comp, k, count, stream):
+        rounds.append(stream.pos)
+        return original(comp, k, count, stream)
+
+    monkeypatch.setattr(partition_mod, "_emit", counting)
+    k = 9
+    table = fixed_table(G500, k, 3) if kind == "fixed" else variable_table(G500, k, 253)
+    plan = default_plan(k=k, t=3, m=6000, seed=31)
+    edges, tiles, used = generate_part(plan, params_for(G500, k), table, distinct=True)
+    got = hashlib.blake2b(edges.astype("<u8").tobytes(), digest_size=16).hexdigest()
+    assert (len(edges), used, got) == (6000, samples, digest)
+    resumed = [pos for pos in rounds if pos]
+    assert len(resumed) > 2 * sum(1 for tc in tiles if tc.count)
+    assert any(pos % 4 for pos in resumed)
 
 
 def test_generate_part_batches_close_at_one_block(monkeypatch):

@@ -1,0 +1,155 @@
+"""Re-keyed stream handles against numpy's own keyed Generators."""
+
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+
+from rmatgen import (
+    GenConfig,
+    default_plan,
+    generate_part,
+    generate_result,
+    split_quadrant_counts,
+)
+from rmatgen._rng import (
+    DOMAIN_BLOCK,
+    DOMAIN_NODE,
+    DOMAIN_ORACLE,
+    DOMAIN_PERTURB,
+    DOMAIN_TILE,
+    Stream,
+    keyed_stream,
+)
+from conftest import SKEWED, UNIFORM, params_for, variable_table
+
+G500 = (0.57, 0.19, 0.19, 0.05)
+DOMAINS = (DOMAIN_BLOCK, DOMAIN_NODE, DOMAIN_TILE, DOMAIN_PERTURB, DOMAIN_ORACLE)
+
+
+def test_stream_pieces_equal_one_keyed_draw():
+    # Cuts at random points, repeated cuts giving zero-length pieces; two
+    # handles drawn in turn re-key the shared Philox between every piece.
+    rng = np.random.default_rng(2024)
+    unaligned = 0
+    for trial in range(400):
+        keys = [
+            (int(rng.integers(0, 2**64, dtype=np.uint64)), DOMAINS[(trial + j) % 5],
+             int(rng.integers(0, 2**64, dtype=np.uint64)))
+            for j in range(2)
+        ]
+        totals = [int(rng.integers(0, 120)) for _ in keys]
+        cuts = [np.sort(rng.integers(0, n + 1, size=int(rng.integers(0, 9)))) for n in totals]
+        bounds = [list(zip([0, *c], [*c, n])) for c, n in zip(cuts, totals)]
+        streams = [Stream(*key) for key in keys]
+        pieces: list[list[np.ndarray]] = [[], []]
+        for step in range(max(len(b) for b in bounds)):
+            for i in (0, 1):
+                if step < len(bounds[i]):
+                    lo, hi = bounds[i][step]
+                    unaligned += lo % 4 != 0
+                    pieces[i].append(streams[i].words(int(hi - lo)))
+        for key, n, got, stream in zip(keys, totals, pieces, streams):
+            want = keyed_stream(*key).bit_generator.random_raw(n)
+            assert stream.pos == n
+            assert np.array_equal(np.concatenate(got), want)
+    assert unaligned > 500
+
+
+def _split_oracle(count, params, node_key):
+    # The split as it was written against a fresh Generator per node.
+    if count == 0:
+        return (0, 0, 0, 0)
+    gen = keyed_stream(node_key[0], DOMAIN_NODE, node_key[1])
+    a, b, c, d = params.quadrants
+    n_a = int(gen.binomial(count, a))
+    rest = count - n_a
+    n_b = int(gen.binomial(rest, b / (b + c + d)))
+    rest -= n_b
+    n_c = int(gen.binomial(rest, c / (c + d)))
+    return (n_a, n_b, n_c, rest - n_c)
+
+
+def test_split_matches_fresh_generator_per_node():
+    # Counts 0 and 1, small ones on numpy's inversion path (n * p <= 30)
+    # and large ones on BTPE, each run of equal counts one node after
+    # another so the Generator's cached binomial setup is reused.
+    rng = np.random.default_rng(7)
+    models = [params_for(q, 20) for q in (G500, UNIFORM, SKEWED)]
+    counts = [0, 1, 2, 5, 17, 40, 100_001, 250_000, 4_000_000, 10**9]
+    nodes = 0
+    for step in range(300):
+        count = counts[step % len(counts)]
+        params = models[step % len(models)]
+        for _ in range(int(rng.integers(1, 15))):
+            key = (int(rng.integers(0, 2**63)), int(rng.integers(1, 2**63)))
+            got = split_quadrant_counts(count, params, key)
+            assert got == _split_oracle(count, params, key)
+            assert sum(got) == count
+            nodes += 1
+        # A kernel-style draw in between moves the shared Philox elsewhere.
+        Stream(step, DOMAIN_TILE, step).words(step % 7)
+    assert nodes >= 2000
+
+
+def _part_bytes(seed):
+    k = 14
+    plan = default_plan(k=k, t=6, m=150_000, seed=seed, parts=2)
+    edges, _, used = generate_part(plan, params_for(G500, k), variable_table(G500, k, 253))
+    return edges.tobytes(), used
+
+
+def _result_bytes(seed):
+    k = 16
+    config = GenConfig(params=params_for(G500, k), table=variable_table(G500, k, 253),
+                       edge_count=600_000, seed=seed)
+    res = generate_result(config)
+    return res.edges.tobytes(), res.samples_consumed
+
+
+def test_concurrent_threads_match_serial_runs():
+    # Each thread re-keys its own Philox; a shared one would be re-keyed
+    # by the other thread between a re-key and its draw.
+    serial = (_part_bytes(41), _result_bytes(42))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for _ in range(3):
+                part = pool.submit(_part_bytes, 41)
+                result = pool.submit(_result_bytes, 42)
+                assert (part.result(timeout=120), result.result(timeout=120)) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_philox_constructions_do_not_grow_with_tiles(monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(threading.get_ident())
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    keyed_stream(1, DOMAIN_BLOCK, 0)
+    assert len(built) == 1  # the patch sees the package's constructions
+
+    k = 14
+    params = params_for(G500, k)
+    table = variable_table(G500, k, 253)
+
+    def run(m):
+        # A fresh thread starts without a shared Philox of its own.
+        built.clear()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            _, tiles, _ = pool.submit(
+                generate_part, default_plan(k=k, t=6, m=m, seed=4), params, table
+            ).result(timeout=120)
+        return sum(1 for tc in tiles if tc.count), len(built)
+
+    small = run(50_000)
+    large = run(200_000)
+    assert 2000 < small[0] < large[0]
+    assert small[1] == large[1] <= 2
