@@ -24,8 +24,8 @@ generator's state, about 2-4 us on the same host:
 - `rekeyed` hands out the thread's Generator keyed at the start of a
   stream, for callers that need its distributions (binomial splits).  It
   is valid only until the thread's next re-key.
-- The shared pair is thread-local, so threads never re-key each other's
-  streams; forked workers start from a copy of it.
+- The shared pair is thread-local, so the threads that fill edge blocks
+  side by side never re-key each other's streams.
 
 `keyed_stream` still builds numpy's own Generator for callers that hold a
 stream across other work or need floats (the naive oracle, table

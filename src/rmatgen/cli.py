@@ -39,7 +39,8 @@ from .table import (
     perturb_table,
 )
 
-#: Default worker count when --threads is absent.
+#: Default thread count when --threads is absent; like --threads, it
+#: applies only to untiled runs.
 THREADS_ENV = "RMAT_THREADS"
 
 TABLESIZE_HEADER = "size,kind,edges_per_sec,samples_per_edge,expected_depth"
@@ -430,7 +431,9 @@ def _add_table_args(p: argparse.ArgumentParser) -> None:
 
 def _add_threads_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=None,
-                   help=f"worker count (default: ${THREADS_ENV} or 1)")
+                   help=f"threads filling edge blocks, at most one per core; untiled "
+                        f"runs only, --tiles runs use one thread (default: "
+                        f"${THREADS_ENV} or 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -30,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from ._rng import DOMAIN_NODE, DOMAIN_TILE, Stream, rekeyed
-from .generator import DEFAULT_BLOCK_SIZE, _compile, _deal_ranges, _emit, _emit_general
+from .generator import DEFAULT_BLOCK_SIZE, _compile, _emit, _emit_general
 from .params import RmatParams
 from .postprocess import dedup_local
 from .table import FragmentTable
@@ -92,10 +92,18 @@ class PartitionPlan:
 
 
 def default_plan(k: int, t: int, m: int, seed: int, parts: int = 1) -> PartitionPlan:
-    """Plan with tile rows dealt to `parts` in near-equal contiguous runs."""
+    """Plan with tile rows dealt to `parts` in near-equal contiguous runs.
+
+    Run lengths differ by at most one, longest first; runs are empty when
+    parts > 2^t.
+    """
     if parts < 1:
         raise ValueError(f"parts must be >= 1, got {parts}")
-    return PartitionPlan(k=k, t=t, m=m, seed=seed, owner_rows=tuple(_deal_ranges(1 << t, parts)))
+    base, extra = divmod(1 << t, parts)
+    bounds = [0]
+    for i in range(parts):
+        bounds.append(bounds[-1] + base + (i < extra))
+    return PartitionPlan(k=k, t=t, m=m, seed=seed, owner_rows=tuple(zip(bounds, bounds[1:])))
 
 
 def split_quadrant_counts(

@@ -8,6 +8,7 @@ import pytest
 
 from rmatgen import DEFAULT_BLOCK_SIZE, build_variable_table, dump_table, validate
 import rmatgen.cli as cli_mod
+import rmatgen.generator as generator
 from rmatgen.cli import _write_file, main
 
 SUMMARY_RE = re.compile(
@@ -361,6 +362,24 @@ def test_generate_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "generate_result", exhausted)
     rc = main(["generate", "-k", "4", "-m", "10", "-o", str(tmp_path / "x.bin")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: out of memory")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_out_of_memory_in_a_thread_exits_2(tmp_path, capsys, monkeypatch):
+    # Block 3 of 5 fails inside the thread pool; the error reaches main.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    emit = generator._emit
+
+    def failing(comp, k, count, stream):
+        if stream.key[1] == 3:
+            raise MemoryError
+        return emit(comp, k, count, stream)
+
+    monkeypatch.setattr(generator, "_emit", failing)
+    rc = main(["generate", "-k", "8", "-m", str(4 * DEFAULT_BLOCK_SIZE + 1),
+               "--threads", "2", "-o", str(tmp_path / "x.bin")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: out of memory")
     assert list(tmp_path.iterdir()) == []

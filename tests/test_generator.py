@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from rmatgen import (
     naive_edges,
     validate,
 )
+import rmatgen.generator as generator
 from rmatgen._rng import DOMAIN_BLOCK, Stream, keyed_stream
 from rmatgen.generator import _compile, _emit, _emit_fixed, _emit_general, _emit_reference
 from conftest import SKEWED, UNIFORM, params_for, fixed_table, variable_table
@@ -188,14 +192,81 @@ def test_generate_equals_manual_block_assembly():
     assert (got == np.concatenate(blocks)).all()
 
 
-@pytest.mark.parametrize("threads", [2, 8])
-def test_thread_count_invariance(threads):
+@pytest.mark.parametrize("threads", [2, 3, 8])
+def test_thread_count_invariance(threads, monkeypatch):
+    # m=100000 makes 37 blocks, the last one of 1684 edges, so every thread
+    # fills several blocks in whatever order they finish; the smaller m
+    # make one block or none.  Reporting 8 cores lets hosts with fewer
+    # still run `threads` threads, and a short switch interval interleaves
+    # them often.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     params = params_for(G500, 12)
-    table = variable_table(G500, 12, 1021)
-    base = GenConfig(params=params, table=table, edge_count=100_000, seed=5)
-    ref = generate(base)
-    got = generate(dataclasses.replace(base, threads=threads))
-    assert (ref == got).all()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for table in (variable_table(G500, 12, 1021), fixed_table(G500, 12, 5)):
+            for m in (100_000, 2730, 1, 0):
+                base = GenConfig(params=params, table=table, edge_count=m, seed=5,
+                                 block_size=2731)
+                ref = generate_result(base)
+                got = generate_result(dataclasses.replace(base, threads=threads))
+                assert got.edges.shape == (m, 2)
+                assert got.samples_consumed == ref.samples_consumed
+                assert (got.edges == ref.edges).all()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_thread_pool_bounded_by_cores_and_blocks(monkeypatch):
+    sizes = []
+
+    class Recorder(generator.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(generator, "ThreadPoolExecutor", Recorder)
+    params = params_for(G500, 10)
+    base = GenConfig(params=params, table=variable_table(G500, 10, 253),
+                     edge_count=5000, seed=3, block_size=500, threads=64)
+    ref = generate_result(dataclasses.replace(base, threads=1))
+    # 64 threads asked for: 2 cores bound the pool, then 3 blocks do, and
+    # an unknown core count means one core, so no pool at all.
+    expected = []
+    for cores, m, workers in ((2, 5000, [2]), (8, 1500, [3]), (None, 5000, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        got = generate_result(dataclasses.replace(base, edge_count=m))
+        assert (got.edges == ref.edges[:m]).all()
+        expected += workers
+        assert sizes == expected
+
+
+def test_block_error_propagates_from_threads(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    emit = generator._emit
+
+    def failing(comp, k, count, stream):
+        if stream.key[1] == 3:
+            raise MemoryError("block 3")
+        return emit(comp, k, count, stream)
+
+    monkeypatch.setattr(generator, "_emit", failing)
+    params = params_for(G500, 10)
+    config = GenConfig(params=params, table=variable_table(G500, 10, 253),
+                       edge_count=20 * 512, seed=3, block_size=512, threads=2)
+    raised = []
+
+    def run():
+        try:
+            generate_result(config)
+        except MemoryError as exc:
+            raised.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(60)
+    assert not runner.is_alive()
+    assert [str(exc) for exc in raised] == ["block 3"]
 
 
 def test_work_bound():
