@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import DEFAULT_BLOCK_SIZE, GenConfig, generate_result
+from .generator import DEFAULT_BLOCK_SIZE, GenConfig, _workers, generate_result
 from .params import GRAPH500, RmatParams, validate
 from .partition import default_plan, generate_part
 from .postprocess import dedup_local, make_scramble_key, scramble_edges, to_undirected
@@ -39,8 +39,7 @@ from .table import (
     perturb_table,
 )
 
-#: Default thread count when --threads is absent; like --threads, it
-#: applies only to untiled runs.
+#: Default thread count when --threads is absent.
 THREADS_ENV = "RMAT_THREADS"
 
 TABLESIZE_HEADER = "size,kind,edges_per_sec,samples_per_edge,expected_depth"
@@ -264,7 +263,8 @@ def run_generate(config: RunConfig) -> int:
     t0 = time.perf_counter()
     if config.tiles is not None:
         plan = default_plan(config.k, config.tiles, config.m, config.seed, config.parts)
-        edges, _, samples = generate_part(plan, params, table, config.part)
+        edges, _, samples = generate_part(plan, params, table, config.part,
+                                          threads=config.threads)
     else:
         res = generate_result(
             GenConfig(
@@ -382,10 +382,12 @@ def run_bench_threads(config: RunConfig) -> int:
     if not config.thread_list:
         raise InvalidConfig("bench-threads requires --threads-list")
     table = _build_table(config, params)
-    rates = {n: _median_rate(config, params, table, n)[0] for n in config.thread_list}
+    blocks = -(-config.m // DEFAULT_BLOCK_SIZE)
+    ran = dict.fromkeys(_workers(n, blocks) for n in config.thread_list)
+    rates = {n: _median_rate(config, params, table, n)[0] for n in ran}
     base = rates[1]
     rows = [THREADS_HEADER]
-    for n in config.thread_list:
+    for n in ran:
         rows.append(f"{n},{rates[n]:.3f},{rates[n] / base:.4f}")
     _write_text(config.out, rows)
     return 0
@@ -431,9 +433,8 @@ def _add_table_args(p: argparse.ArgumentParser) -> None:
 
 def _add_threads_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=None,
-                   help=f"threads filling edge blocks, at most one per core; untiled "
-                        f"runs only, --tiles runs use one thread (default: "
-                        f"${THREADS_ENV} or 1)")
+                   help=f"threads filling edge blocks or tile batches, at most one "
+                        f"per core (default: ${THREADS_ENV} or 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -484,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(bn, need_m=True)
     _add_table_args(bn)
     bn.add_argument("--threads-list", type=_parse_int_list, required=True,
-                    dest="thread_list", help="comma-separated worker counts; must include 1")
+                    dest="thread_list", help="comma-separated thread counts; must include "
+                    "1; each row shows the threads that ran, at most one per block and core")
     bn.add_argument("--reps", type=int, default=3, help="timed repetitions (>= 3)")
     bn.add_argument("-o", dest="out", help="CSV path (default: stdout)")
 

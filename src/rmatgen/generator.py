@@ -23,11 +23,11 @@ baseline.
 
 Every block of edges comes from its own random stream, keyed by
 (seed, block_index), so any block can be produced by any thread in any
-order with identical results.  `generate_result` has one block loop: each
-block is emitted and written straight into its slice of one preallocated
-array, in turn or by a pool of threads (the kernels' numpy operations
-release the GIL).  The kernels take `_rng.Stream` handles, which re-key
-one shared Philox per thread instead of building a Generator per block.
+order with identical results.  One loop, `_run_units`, fills one array
+from units with known offsets, in turn or on threads (numpy releases the
+GIL): blocks here, and tile batches or distinct tiles in the partition
+module.  The kernels take `_rng.Stream` handles, which re-key one Philox
+per thread instead of building a Generator per block or tile.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -471,40 +472,56 @@ def naive_edges(
     return out
 
 
+def _workers(threads: int, units: int) -> int:
+    """Threads `_run_units` runs on: at most one per unit and one per core."""
+    return max(1, min(threads, units, os.cpu_count() or 1))
+
+
+def _run_units(total: int, units: list, threads: int) -> tuple[np.ndarray, int]:
+    """One (total, 2) array filled from (offset, emit) units, and their samples.
+
+    emit() returns a unit's edges, which land from row offset on, and the
+    alias samples they used.  Threads change who runs a unit, not the bytes.
+    """
+    edges = np.empty((total, 2), dtype=np.uint64)
+    last = threading.local()
+
+    def run(unit) -> int:
+        lo, emit = unit
+        out, samples = emit()
+        edges[lo : lo + len(out)] = out
+        # Each thread keeps its last unit until it has emitted the next, so
+        # that glibc's malloc does not hand the top of the heap back to the
+        # OS after every unit: `rmat generate -k 20 -m 8388608` then took
+        # 455k page faults instead of 7.6k, and 1.65x the time.  So emit()
+        # returns its kernel's own output array, not a copy of it.
+        last.out = out
+        return samples
+
+    workers = _workers(threads, len(units))
+    if workers == 1:
+        return edges, sum(map(run, units))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return edges, sum(pool.map(run, units))
+
+
 def generate_result(config: GenConfig) -> GenResult:
     """Generate config.edge_count edges; returns them with sample counts.
 
     Output is in block-major order and is a pure function of
-    (seed, table, k, edge_count, block_size).  Blocks are filled into one
-    preallocated array by min(threads, blocks, cores) threads; the thread
-    count changes only who computes each block, never the bytes.
+    (seed, table, k, edge_count, block_size).  Each block is one unit of
+    `_run_units`, so the thread count never changes the bytes.
     """
     m = config.edge_count
     B = config.block_size
     k = config.params.k
     _check_k(k)
     comp = _compile(config.table)
-    edges = np.empty((m, 2), dtype=np.uint64)
-    last = threading.local()
-
-    def fill(b: int) -> int:
-        lo = b * B
-        block, samples = _emit(comp, k, min(B, m - lo), Stream(config.seed, DOMAIN_BLOCK, b))
-        edges[lo : lo + len(block)] = block
-        # Each thread keeps its last block until it has emitted the next.
-        # Freed at once, it lets malloc return the top of the heap to the
-        # OS after every block, and the next block's temporaries fault in
-        # afresh: `rmat generate -k 20 -m 8388608` then took 455k page
-        # faults instead of 7.6k and 1.65x the time (glibc).
-        last.block = block
-        return samples
-
-    nblocks = (m + B - 1) // B
-    workers = min(config.threads, nblocks, os.cpu_count() or 1)
-    if workers <= 1:
-        return GenResult(edges, sum(map(fill, range(nblocks))))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return GenResult(edges, sum(pool.map(fill, range(nblocks))))
+    units = [
+        (lo, partial(_emit, comp, k, min(B, m - lo), Stream(config.seed, DOMAIN_BLOCK, lo // B)))
+        for lo in range(0, m, B)
+    ]
+    return GenResult(*_run_units(m, units, config.threads))
 
 
 def generate(config: GenConfig) -> np.ndarray:

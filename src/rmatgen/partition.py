@@ -8,6 +8,9 @@ needed.  Tiles are then filled locally on the remaining k - t index
 bits, each from its own stream keyed by (seed, tile coordinates).  The
 word-stream kernel joins the streams of many small tiles into one call
 of at least a block of edges, so its per-call cost is not paid per tile.
+Each such batch of tiles, or in distinct mode each tile, is one unit of
+the generator's `_run_units`: its place in the output is the sum of the
+tile counts before it, so units fill one array on any number of threads.
 
 Neither a split node nor a tile builds a numpy Generator.  A split node
 re-keys the thread's shared Generator (`_rng.rekeyed`) and makes its
@@ -25,12 +28,12 @@ with the whole grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import partial
 
 import numpy as np
 
 from ._rng import DOMAIN_NODE, DOMAIN_TILE, Stream, rekeyed
-from .generator import DEFAULT_BLOCK_SIZE, _compile, _emit, _emit_general
+from .generator import DEFAULT_BLOCK_SIZE, _compile, _emit, _emit_general, _run_units
 from .params import RmatParams
 from .postprocess import dedup_local
 from .table import FragmentTable
@@ -166,64 +169,63 @@ def _tile_stream(tc: TileCount, t: int, seed: int) -> Stream:
     return Stream(seed, DOMAIN_TILE, (tc.tile_row << t) | tc.tile_col)
 
 
-def _batches(tiles: list[TileCount]) -> Iterator[list[TileCount]]:
-    """Non-empty tiles in order, in runs that close once they hold a block."""
+def _units(
+    comp, tiles: list[TileCount], k: int, t: int, seed: int, distinct: bool
+) -> tuple[int, list]:
+    """The edge count of `tiles` and the (offset, emit) units that fill it.
+
+    A unit is a run of non-empty tiles that closes once it holds a block,
+    so one kernel call serves many small tiles with temporaries near one
+    block in size.  A distinct tile resamples alone, so it is one unit.
+    """
+    emit = _distinct_tile if distinct else _batch
+    close = 1 if distinct else DEFAULT_BLOCK_SIZE
+    units: list = []
     batch: list[TileCount] = []
-    size = 0
+    lo = pos = 0
     for tc in tiles:
+        if distinct and tc.count > 4 ** (k - t):
+            raise CountOverflowsTile(f"{tc.count} distinct edges cannot fit {4**(k - t)} cells")
         if tc.count:
             batch.append(tc)
-            size += tc.count
-        if size >= DEFAULT_BLOCK_SIZE:
-            yield batch
-            batch, size = [], 0
+            pos += tc.count
+        if pos - lo >= close:
+            units.append((lo, partial(emit, comp, batch, k, t, seed)))
+            batch, lo = [], pos
     if batch:
-        yield batch
+        units.append((lo, partial(emit, comp, batch, k, t, seed)))
+    return pos, units
 
 
-def _fill(
+def _batch(comp, tiles: list[TileCount], k: int, t: int, seed: int) -> tuple[np.ndarray, int]:
+    """Edges of a batch of tiles back to back, from one kernel call."""
+    inner = k - t
+    prefix = np.array([(tc.tile_row, tc.tile_col) for tc in tiles], dtype=np.uint64)
+    prefixes = np.repeat(prefix << np.uint64(inner), [tc.count for tc in tiles], axis=0)
+    if inner == 0:
+        return prefixes, 0
+    segments = [(tc.count, _tile_stream(tc, t, seed)) for tc in tiles]
+    bits, used = _emit_general(comp, inner, segments)
+    bits |= prefixes
+    return bits, used
+
+
+def _distinct_tile(
     comp, tiles: list[TileCount], k: int, t: int, seed: int
 ) -> tuple[np.ndarray, int]:
-    """Edges of `tiles` back to back, and the alias samples they used.
-
-    Each tile draws from its own stream, and the kernel joins the streams
-    of a batch of tiles into one call.  Closing a batch once it holds a
-    block of edges spreads the per-call cost over many small tiles while
-    keeping the kernel's temporaries near one block in size.
-    """
-    inner = k - t
-    edges = np.empty((sum(tc.count for tc in tiles), 2), dtype=np.uint64)
-    samples = 0
-    pos = 0
-    for batch in _batches(tiles):
-        prefix = np.array([(tc.tile_row, tc.tile_col) for tc in batch], dtype=np.uint64)
-        out = np.repeat(prefix << np.uint64(inner), [tc.count for tc in batch], axis=0)
-        if inner > 0:
-            segments = [(tc.count, _tile_stream(tc, t, seed)) for tc in batch]
-            bits, used = _emit_general(comp, inner, segments)
-            out |= bits
-            samples += used
-        edges[pos : pos + len(out)] = out
-        pos += len(out)
-    return edges, samples
-
-
-def _distinct_tile(comp, tc: TileCount, k: int, t: int, seed: int) -> tuple[np.ndarray, int]:
-    """One tile of distinct edges, resampled from the tile's stream until full.
+    """The one tile in `tiles` as distinct edges, resampled from its stream until full.
 
     Each round draws as many edges as cells are missing, continuing the
     tile's stream.  Raises DistinctFillStalled after MAX_STALLED_ROUNDS
     rounds in a row that add no new cell.
     """
+    (tc,) = tiles
     inner = k - t
-    if tc.count > 4**inner:
-        raise CountOverflowsTile(f"{tc.count} distinct edges cannot fit {4**inner} cells")
     if inner == 0:
-        return _fill(comp, [tc], k, t, seed)
+        return _batch(comp, tiles, k, t, seed)
     stream = _tile_stream(tc, t, seed)
-    edges, samples = _emit(comp, inner, tc.count, stream)
-    edges = dedup_local(edges)
-    stalled = 0
+    edges = np.empty((0, 2), dtype=np.uint64)
+    samples = stalled = 0
     while len(edges) < tc.count:
         if stalled == MAX_STALLED_ROUNDS:
             raise DistinctFillStalled(
@@ -235,8 +237,7 @@ def _distinct_tile(comp, tc: TileCount, k: int, t: int, seed: int) -> tuple[np.n
         have = len(edges)
         edges = dedup_local(np.concatenate([edges, more]))
         stalled = stalled + 1 if len(edges) == have else 0
-    edges[:, 0] |= np.uint64(tc.tile_row << inner)
-    edges[:, 1] |= np.uint64(tc.tile_col << inner)
+    edges |= np.array([tc.tile_row, tc.tile_col], dtype=np.uint64) << np.uint64(inner)
     return edges, samples
 
 
@@ -268,11 +269,8 @@ def generate_tile(
         raise ValueError(f"tile ({row}, {col}) outside the 2^{t} grid")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    comp = _compile(table)
     tc = TileCount(tile_row=row, tile_col=col, count=count)
-    if distinct:
-        return _distinct_tile(comp, tc, k, t, seed)[0]
-    return _fill(comp, [tc], k, t, seed)[0]
+    return _run_units(*_units(_compile(table), [tc], k, t, seed, distinct), 1)[0]
 
 
 def generate_part(
@@ -281,17 +279,15 @@ def generate_part(
     table: FragmentTable,
     part: int = 0,
     distinct: bool = False,
+    threads: int = 1,
 ) -> tuple[np.ndarray, list[TileCount], int]:
     """All edges of one part, in tile order.
 
     Returns (edges, tile counts, alias samples consumed).  The table is
-    compiled once and reused across tiles.
+    compiled once and reused across tiles.  Tile batches, or tiles in
+    distinct mode, run on up to `threads` threads without changing the bytes.
     """
     tiles = plan_tiles(plan, params, part)
-    comp = _compile(table)
-    if not distinct:
-        edges, samples = _fill(comp, tiles, plan.k, plan.t, plan.seed)
-        return edges, tiles, samples
-    chunks = [_distinct_tile(comp, tc, plan.k, plan.t, plan.seed) for tc in tiles]
-    edges = np.concatenate([e for e, _ in chunks]) if chunks else np.empty((0, 2), np.uint64)
-    return edges, tiles, sum(s for _, s in chunks)
+    total, units = _units(_compile(table), tiles, plan.k, plan.t, plan.seed, distinct)
+    edges, samples = _run_units(total, units, threads)
+    return edges, tiles, samples

@@ -89,26 +89,21 @@ class FragmentTable:
         return (self.entry(i) for i in range(len(self)))
 
 
-def _freeze(table: FragmentTable) -> FragmentTable:
+def _assemble(row, col, dep, prob, kind: str) -> FragmentTable:
+    dep = dep.astype(np.uint64)
+    table = FragmentTable(
+        row_bits=row.astype(np.uint64),
+        col_bits=col.astype(np.uint64),
+        depths=dep,
+        probs=prob,
+        sampler=build_alias(prob),
+        max_depth=int(dep.max()),
+        kind=kind,
+        mean_depth=float(np.dot(prob, dep.astype(np.float64))),
+    )
     for arr in (table.row_bits, table.col_bits, table.depths, table.probs):
         arr.flags.writeable = False
     return table
-
-
-def _assemble(row, col, dep, prob, kind: str) -> FragmentTable:
-    dep = dep.astype(np.uint64)
-    return _freeze(
-        FragmentTable(
-            row_bits=row.astype(np.uint64),
-            col_bits=col.astype(np.uint64),
-            depths=dep,
-            probs=prob,
-            sampler=build_alias(prob),
-            max_depth=int(dep.max()),
-            kind=kind,
-            mean_depth=float(np.dot(prob, dep.astype(np.float64))),
-        )
-    )
 
 
 def build_fixed_table(params: RmatParams, depth: int) -> FragmentTable:
@@ -235,18 +230,7 @@ def perturb_table(table: FragmentTable, noise_level: float, rng) -> FragmentTabl
     factors = 1.0 - noise_level + 2.0 * noise_level * rng.random(len(table))
     probs = table.probs * factors
     probs /= probs.sum()
-    return _freeze(
-        FragmentTable(
-            row_bits=table.row_bits,
-            col_bits=table.col_bits,
-            depths=table.depths,
-            probs=probs,
-            sampler=build_alias(probs),
-            max_depth=table.max_depth,
-            kind=table.kind,
-            mean_depth=float(np.dot(probs, table.depths.astype(np.float64))),
-        )
-    )
+    return _assemble(table.row_bits, table.col_bits, table.depths, probs, table.kind)
 
 
 def dump_table(table: FragmentTable) -> Iterator[str]:

@@ -181,6 +181,31 @@ def test_generate_thread_count_does_not_change_output(tmp_path):
     assert one.read_bytes() == four.read_bytes()
 
 
+def test_generate_tiled_thread_count_does_not_change_output(tmp_path, capsys, monkeypatch):
+    # Part 1 of this plan holds about 144k edges in 3 tile batches, and
+    # reporting 2 cores lets a 1-core host run 2 threads too.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pools = []
+
+    class Recorder(generator.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(generator, "ThreadPoolExecutor", Recorder)
+    runs = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"t{threads}.bin"
+        rc = main(["generate", "-k", "12", "-m", "600000", "--seed", "5", "--tiles", "3",
+                   "--parts", "2", "--part", "1", "--threads", threads, "-o", str(path)])
+        assert rc == 0
+        samples = SUMMARY_RE.search(capsys.readouterr().out).group(2)
+        runs.append((path.read_bytes(), samples))
+    assert pools == [2]
+    assert len(runs[0][0]) > 2 * DEFAULT_BLOCK_SIZE * 16
+    assert runs[0] == runs[1]
+
+
 # -------------------------------------------------------------------- verify
 
 
@@ -247,8 +272,10 @@ def test_bench_tablesize_rejects_non_power_of_four(capsys):
     assert "power-of-4" in capsys.readouterr().err
 
 
-def test_bench_threads_baseline_speedup(capsys):
-    rc = main(["bench-threads", "-k", "8", "-m", "2000",
+def test_bench_threads_baseline_speedup(capsys, monkeypatch):
+    # Two blocks on two cores, so the 2 row runs two threads.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rc = main(["bench-threads", "-k", "8", "-m", str(DEFAULT_BLOCK_SIZE + 1),
                "--threads-list", "1,2"])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
@@ -256,6 +283,19 @@ def test_bench_threads_baseline_speedup(capsys):
     rows = {r[0]: r for r in (line.split(",") for line in lines[1:])}
     assert float(rows["1"][2]) == 1.0
     assert float(rows["2"][1]) > 0
+
+
+@pytest.mark.parametrize("cores,m,labels", [
+    (2, 3 * DEFAULT_BLOCK_SIZE, ["1", "2"]),  # 4 and 8 threads run 2
+    (8, 3 * DEFAULT_BLOCK_SIZE, ["1", "2", "3"]),  # 3 blocks run at most 3
+    (8, 2000, ["1"]),  # one block runs one thread
+])
+def test_bench_threads_rows_report_threads_that_ran(cores, m, labels, capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    rc = main(["bench-threads", "-k", "8", "-m", str(m), "--threads-list", "1,2,4,8"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == labels
 
 
 # --------------------------------------------------------------- table dump

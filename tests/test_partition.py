@@ -1,9 +1,14 @@
 import hashlib
+import itertools
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import rmatgen.generator as generator_mod
 import rmatgen.partition as partition_mod
 from rmatgen import (
     DEFAULT_BLOCK_SIZE,
@@ -258,6 +263,8 @@ def test_tile_distinct_mode_rejects_overflow():
         generate_tile((0, 0), 17, params, table, k=4, t=2, seed=1, distinct=True)
     with pytest.raises(CountOverflowsTile):
         generate_tile((3, 3), 2, params, table, k=4, t=4, seed=1, distinct=True)
+    with pytest.raises(CountOverflowsTile):  # before allocating 2^66 bytes
+        generate_tile((0, 0), 1 << 62, params, table, k=4, t=2, seed=1, distinct=True)
 
 
 def test_tile_distinct_mode_stalls_on_unreachable_cells():
@@ -445,3 +452,86 @@ def test_generate_part_batches_close_at_one_block(monkeypatch):
     assert len(calls) < len(filled)
     for batch in calls[:-1]:
         assert sum(batch[:-1]) < DEFAULT_BLOCK_SIZE <= sum(batch)
+
+
+# ------------------------------------------------------------------- threads
+
+
+def part_inputs(kind, distinct):
+    # Plain mode: 5 tile batches of this plan are the units.  Distinct
+    # mode: each of the 62 non-empty tiles is one, over several rounds.
+    k, m = (9, 6000) if distinct else (12, 300_000)
+    table = fixed_table(G500, k, 3) if kind == "fixed" else variable_table(G500, k, 253)
+    return default_plan(k=k, t=3, m=m, seed=31), params_for(G500, k), table
+
+
+@pytest.mark.parametrize("threads", [2, 3, 8])
+def test_generate_part_thread_count_invariance(threads, monkeypatch):
+    # Reporting 8 cores lets hosts with fewer still run `threads` threads,
+    # and a short switch interval interleaves them often.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for distinct in (False, True):
+            for kind in ("variable", "fixed"):
+                plan, params, table = part_inputs(kind, distinct)
+                ref, tiles, used = generate_part(plan, params, table, distinct=distinct)
+                got, _, got_used = generate_part(plan, params, table, distinct=distinct,
+                                                 threads=threads)
+                assert got.shape == (plan.m, 2)
+                assert got_used == used
+                assert (got == ref).all()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_generate_part_pool_bounded_by_units(monkeypatch):
+    sizes = []
+
+    class Recorder(generator_mod.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(generator_mod, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    plan, params, table = part_inputs("variable", False)
+    tiles = plan_tiles(plan, params)
+    _, units = partition_mod._units(None, tiles, plan.k, plan.t, plan.seed, False)
+    # 64 threads asked for: 5 batches bound the pool; in distinct mode the
+    # 8 cores do; a plan that fits one batch starts no pool at all.
+    generate_part(plan, params, table, threads=64)
+    assert sizes == [len(units)] == [5]
+    generate_part(*part_inputs("variable", True), distinct=True, threads=64)
+    assert sizes == [5, 8]
+    small = default_plan(k=12, t=3, m=DEFAULT_BLOCK_SIZE - 1, seed=31)
+    generate_part(small, params, table, threads=64)
+    assert sizes == [5, 8]
+
+
+def test_generate_part_error_propagates_from_threads(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    plan, params, table = part_inputs("variable", False)
+    calls = itertools.count()
+    emit = partition_mod._emit_general
+
+    def failing(comp, k, segments):
+        if next(calls) == 2:
+            raise MemoryError("batch 2")
+        return emit(comp, k, segments)
+
+    monkeypatch.setattr(partition_mod, "_emit_general", failing)
+    raised = []
+
+    def run():
+        try:
+            generate_part(plan, params, table, threads=2)
+        except MemoryError as exc:
+            raised.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(60)
+    assert not runner.is_alive()
+    assert [str(exc) for exc in raised] == ["batch 2"]
