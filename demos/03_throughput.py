@@ -9,8 +9,8 @@ That figure is the algorithmic story; wall-clock throughput also depends
 on the emission kernel.  Variable-depth tables go through the word-stream
 kernel, which packs fragments into 64-bit words and cuts each edge as one
 k-bit window.  Uniform-depth tables use a periodic fixed-depth kernel that
-is faster still in this numpy implementation.  The CLI exposes the same
-sweep as `rmat bench-tablesize`.
+is faster still in this numpy implementation.  For one row from the CLI,
+run `rmat generate ... --size S --format none`.
 """
 
 import time

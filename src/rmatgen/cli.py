@@ -1,12 +1,14 @@
-"""Command-line front end and benchmark harness.
+"""Command-line front end.
 
 Subcommands:
 
-  generate         write an edge list (binary, text, or none for a dry run)
-  verify           chi-square the generator's cell counts against the model
-  bench-tablesize  CSV sweep of throughput versus fragment-table size
-  bench-threads    CSV sweep of throughput versus worker count
-  table-dump       print the fragment table, one entry per line
+  generate    write an edge list (binary, text, or none for a timed dry run)
+  verify      chi-square the generator's cell counts against the model
+  table-dump  print the fragment table, one entry per line
+
+`generate --format none` prints edges_per_sec= and samples_per_edge=
+without writing, so a sweep over table sizes or thread counts is a shell
+loop over it; perfbench/ is the harness whose timings count.
 
 Exit codes: 0 on success, 1 when `verify` reports a failing verdict, 2 on
 configuration or I/O errors.  Output files are written to a temp path and
@@ -16,16 +18,14 @@ renamed into place, so a failed run leaves no partial file behind.
 from __future__ import annotations
 
 import argparse
-import math
 import os
-import statistics
 import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import DEFAULT_BLOCK_SIZE, GenConfig, _workers, generate_result
+from .generator import DEFAULT_BLOCK_SIZE, GenConfig, generate_result
 from .params import GRAPH500, RmatParams, validate
 from .partition import default_plan, generate_part
 from .postprocess import dedup_local, make_scramble_key, scramble_edges, to_undirected
@@ -41,9 +41,6 @@ from .table import (
 
 #: Default thread count when --threads is absent.
 THREADS_ENV = "RMAT_THREADS"
-
-TABLESIZE_HEADER = "size,kind,edges_per_sec,samples_per_edge,expected_depth"
-THREADS_HEADER = "threads,edges_per_sec,speedup_vs_1"
 
 
 class InvalidConfig(ValueError):
@@ -75,9 +72,6 @@ class RunConfig:
     out: str | None
     fmt: str  # binary | text | none
     threads: int
-    sizes: tuple[int, ...] = ()
-    thread_list: tuple[int, ...] = ()
-    reps: int = 3
     noise: float = 0.0
 
 
@@ -94,21 +88,12 @@ def _default_threads() -> int:
     return n
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(s) for s in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
     """Cross-field validation that argparse cannot express."""
     kind = getattr(ns, "table", "variable")
     depth = getattr(ns, "depth", None)
     size = getattr(ns, "size", None)
-    if ns.subcommand == "bench-tablesize":
-        pass  # --sizes drives table construction; --depth/--size do not apply
-    elif kind == "fixed":
+    if kind == "fixed":
         if depth is None:
             raise InvalidConfig("--table fixed requires --depth")
         if size is not None:
@@ -134,8 +119,10 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
         if not 0 <= part < parts:
             raise InvalidConfig(f"--part must be in [0, {parts}), got {part}")
 
-    threads = getattr(ns, "threads", None)
-    threads = _default_threads() if threads is None else threads
+    # Only subcommands with --threads read the environment; table-dump runs none.
+    threads = getattr(ns, "threads", 1)
+    if threads is None:
+        threads = _default_threads()
     if threads < 1:
         raise InvalidConfig(f"--threads must be >= 1, got {threads}")
 
@@ -146,20 +133,6 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
             raise InvalidConfig("--format none writes nothing; drop -o")
         if fmt != "none" and out is None:
             raise InvalidConfig(f"--format {fmt} requires -o PATH")
-
-    reps = getattr(ns, "reps", 3)
-    if reps < 3:
-        raise InvalidConfig(f"--reps must be >= 3, got {reps}")
-
-    sizes = getattr(ns, "sizes", ())
-    if sizes and list(sizes) != sorted(set(sizes)):
-        raise InvalidConfig("--sizes must be strictly ascending")
-    thread_list = getattr(ns, "thread_list", ())
-    if thread_list:
-        if any(n < 1 for n in thread_list):
-            raise InvalidConfig("--threads-list entries must be >= 1")
-        if 1 not in thread_list:
-            raise InvalidConfig("--threads-list must include 1 (the speedup baseline)")
 
     return RunConfig(
         subcommand=ns.subcommand,
@@ -172,7 +145,6 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
         dedup=getattr(ns, "dedup", False),
         tiles=tiles, parts=parts, part=part,
         out=out, fmt=fmt, threads=threads,
-        sizes=tuple(sizes), thread_list=tuple(thread_list), reps=reps,
         noise=getattr(ns, "noise", 0.0),
     )
 
@@ -331,68 +303,6 @@ def run_verify(config: RunConfig) -> int:
     return 0 if result.passed else 1
 
 
-def _median_rate(config: RunConfig, params: RmatParams, table: FragmentTable,
-                 threads: int) -> tuple[float, int]:
-    """Median edges/s over config.reps timed runs after one warm-up."""
-    gc = GenConfig(
-        params=params,
-        table=table,
-        edge_count=config.m,
-        seed=config.seed,
-        threads=threads,
-    )
-    generate_result(gc)
-    times = []
-    samples = 0
-    for _ in range(config.reps):
-        t0 = time.perf_counter()
-        res = generate_result(gc)
-        times.append(max(time.perf_counter() - t0, 1e-9))
-        samples = res.samples_consumed
-    return config.m / statistics.median(times), samples
-
-
-def run_bench_tablesize(config: RunConfig) -> int:
-    params = validate(config.a, config.b, config.c, config.d, config.k)
-    if not config.sizes:
-        raise InvalidConfig("bench-tablesize requires --sizes")
-    rows = [TABLESIZE_HEADER]
-    for size in config.sizes:
-        if config.kind == "fixed":
-            depth = round(math.log(size, 4))
-            if 4**depth != size:
-                raise InvalidConfig(f"fixed tables need power-of-4 sizes, got {size}")
-            table = build_fixed_table(params, depth)
-        else:
-            table = build_variable_table(params, size, depth_cap=config.depth_cap)
-        rate, samples = _median_rate(config, params, table, config.threads)
-        if config.kind == "fixed":
-            # Arithmetic identity for uniform-depth tables; measurement only
-            # adds per-block ceiling noise on top of k/depth.
-            spe = config.k / table.max_depth
-        else:
-            spe = samples / max(config.m, 1)
-        rows.append(f"{size},{config.kind},{rate:.3f},{spe:.6f},{table.mean_depth:.6f}")
-    _write_text(config.out, rows)
-    return 0
-
-
-def run_bench_threads(config: RunConfig) -> int:
-    params = validate(config.a, config.b, config.c, config.d, config.k)
-    if not config.thread_list:
-        raise InvalidConfig("bench-threads requires --threads-list")
-    table = _build_table(config, params)
-    blocks = -(-config.m // DEFAULT_BLOCK_SIZE)
-    ran = dict.fromkeys(_workers(n, blocks) for n in config.thread_list)
-    rates = {n: _median_rate(config, params, table, n)[0] for n in ran}
-    base = rates[1]
-    rows = [THREADS_HEADER]
-    for n in ran:
-        rows.append(f"{n},{rates[n]:.3f},{rates[n] / base:.4f}")
-    _write_text(config.out, rows)
-    return 0
-
-
 def run_table_dump(config: RunConfig) -> int:
     params = validate(config.a, config.b, config.c, config.d, config.k)
     table = _build_table(config, params)
@@ -403,8 +313,6 @@ def run_table_dump(config: RunConfig) -> int:
 _HANDLERS = {
     "generate": run_generate,
     "verify": run_verify,
-    "bench-tablesize": run_bench_tablesize,
-    "bench-threads": run_bench_threads,
     "table-dump": run_table_dump,
 }
 
@@ -469,26 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--noise", type=float, default=0.0,
                    help="perturb table probabilities by this factor before "
                         "generating; nonzero values should make verify fail")
-
-    bt = sub.add_parser("bench-tablesize", help="throughput sweep over table sizes")
-    _add_model_args(bt, need_m=True)
-    _add_threads_arg(bt)
-    bt.add_argument("--sizes", type=_parse_int_list, required=True,
-                    help="comma-separated table sizes, ascending")
-    bt.add_argument("--kind", choices=("fixed", "variable"), default="variable",
-                    dest="table", help="table kind for every row")
-    bt.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP, dest="depth_cap")
-    bt.add_argument("--reps", type=int, default=3, help="timed repetitions (>= 3)")
-    bt.add_argument("-o", dest="out", help="CSV path (default: stdout)")
-
-    bn = sub.add_parser("bench-threads", help="throughput sweep over worker counts")
-    _add_model_args(bn, need_m=True)
-    _add_table_args(bn)
-    bn.add_argument("--threads-list", type=_parse_int_list, required=True,
-                    dest="thread_list", help="comma-separated thread counts; must include "
-                    "1; each row shows the threads that ran, at most one per block and core")
-    bn.add_argument("--reps", type=int, default=3, help="timed repetitions (>= 3)")
-    bn.add_argument("-o", dest="out", help="CSV path (default: stdout)")
 
     td = sub.add_parser("table-dump", help="print fragment table entries")
     _add_model_args(td, need_m=False)

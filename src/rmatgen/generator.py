@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import os
 import threading
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -472,18 +473,17 @@ def naive_edges(
     return out
 
 
-def _workers(threads: int, units: int) -> int:
-    """Threads `_run_units` runs on: at most one per unit and one per core."""
-    return max(1, min(threads, units, os.cpu_count() or 1))
-
-
-def _run_units(total: int, units: list, threads: int) -> tuple[np.ndarray, int]:
+def _run_units(total: int, units: Iterable, threads: int) -> tuple[np.ndarray, int]:
     """One (total, 2) array filled from (offset, emit) units, and their samples.
 
     emit() returns a unit's edges, which land from row offset on, and the
-    alias samples they used.  Threads change who runs a unit, not the bytes.
+    alias samples they used.  The units run on at most one thread per unit
+    and one per core; threads change who runs a unit, not the bytes.  A
+    lazy `units` is listed only once the array is allocated, so a total
+    too large to hold fails before any unit is built.
     """
     edges = np.empty((total, 2), dtype=np.uint64)
+    units = list(units)
     last = threading.local()
 
     def run(unit) -> int:
@@ -498,7 +498,7 @@ def _run_units(total: int, units: list, threads: int) -> tuple[np.ndarray, int]:
         last.out = out
         return samples
 
-    workers = _workers(threads, len(units))
+    workers = max(1, min(threads, len(units), os.cpu_count() or 1))
     if workers == 1:
         return edges, sum(map(run, units))
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -510,17 +510,18 @@ def generate_result(config: GenConfig) -> GenResult:
 
     Output is in block-major order and is a pure function of
     (seed, table, k, edge_count, block_size).  Each block is one unit of
-    `_run_units`, so the thread count never changes the bytes.
+    `_run_units`, so the thread count never changes the bytes.  The units
+    are a generator, listed only after the output is allocated.
     """
     m = config.edge_count
     B = config.block_size
     k = config.params.k
     _check_k(k)
     comp = _compile(config.table)
-    units = [
+    units = (
         (lo, partial(_emit, comp, k, min(B, m - lo), Stream(config.seed, DOMAIN_BLOCK, lo // B)))
         for lo in range(0, m, B)
-    ]
+    )
     return GenResult(*_run_units(m, units, config.threads))
 
 

@@ -236,68 +236,6 @@ def test_verify_rejects_unenumerable_k(capsys):
     assert "k must be" in capsys.readouterr().err
 
 
-# --------------------------------------------------------------- benchmarks
-
-
-def test_bench_tablesize_fixed_rows(tmp_path):
-    path = tmp_path / "sweep.csv"
-    rc = main(["bench-tablesize", "-k", "8", "-m", "2000", "--kind", "fixed",
-               "--sizes", "4,16,64", "-o", str(path)])
-    assert rc == 0
-    lines = path.read_text().splitlines()
-    assert lines[0] == "size,kind,edges_per_sec,samples_per_edge,expected_depth"
-    rows = [line.split(",") for line in lines[1:]]
-    assert [r[0] for r in rows] == ["4", "16", "64"]
-    assert all(r[1] == "fixed" for r in rows)
-    # uniform-depth tables: samples per edge is exactly k / depth
-    assert [float(r[3]) for r in rows] == pytest.approx([8.0, 4.0, 8 / 3])
-    assert [float(r[4]) for r in rows] == pytest.approx([1.0, 2.0, 3.0])
-
-
-def test_bench_tablesize_variable_samples_decrease(capsys):
-    rc = main(["bench-tablesize", "-k", "8", "-m", "2000",
-               "--sizes", "4,253,1021"])
-    assert rc == 0
-    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-    spe = [float(r[3]) for r in rows]
-    assert spe == sorted(spe, reverse=True)
-    assert all(r[1] == "variable" for r in rows)
-    assert all(float(r[2]) > 0 for r in rows)
-
-
-def test_bench_tablesize_rejects_non_power_of_four(capsys):
-    rc = main(["bench-tablesize", "-k", "4", "-m", "100", "--kind", "fixed",
-               "--sizes", "4,20"])
-    assert rc == 2
-    assert "power-of-4" in capsys.readouterr().err
-
-
-def test_bench_threads_baseline_speedup(capsys, monkeypatch):
-    # Two blocks on two cores, so the 2 row runs two threads.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    rc = main(["bench-threads", "-k", "8", "-m", str(DEFAULT_BLOCK_SIZE + 1),
-               "--threads-list", "1,2"])
-    assert rc == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "threads,edges_per_sec,speedup_vs_1"
-    rows = {r[0]: r for r in (line.split(",") for line in lines[1:])}
-    assert float(rows["1"][2]) == 1.0
-    assert float(rows["2"][1]) > 0
-
-
-@pytest.mark.parametrize("cores,m,labels", [
-    (2, 3 * DEFAULT_BLOCK_SIZE, ["1", "2"]),  # 4 and 8 threads run 2
-    (8, 3 * DEFAULT_BLOCK_SIZE, ["1", "2", "3"]),  # 3 blocks run at most 3
-    (8, 2000, ["1"]),  # one block runs one thread
-])
-def test_bench_threads_rows_report_threads_that_ran(cores, m, labels, capsys, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    rc = main(["bench-threads", "-k", "8", "-m", str(m), "--threads-list", "1,2,4,8"])
-    assert rc == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split(",")[0] for line in lines[1:]] == labels
-
-
 # --------------------------------------------------------------- table dump
 
 
@@ -332,11 +270,6 @@ def test_table_dump_matches_library(capsys):
         ["generate", "-k", "63", "-m", "10", "--format", "none"],
         ["generate", "-k", "4", "-m", "10"],
         ["generate", "-k", "4", "-m", "10", "--format", "none", "-o", "x.bin"],
-        ["bench-tablesize", "-k", "4", "-m", "100", "--sizes", "10,4"],
-        ["bench-tablesize", "-k", "4", "-m", "100", "--sizes", "4,4"],
-        ["bench-tablesize", "-k", "4", "-m", "100", "--sizes", "4", "--reps", "2"],
-        ["bench-threads", "-k", "4", "-m", "100", "--threads-list", "2,4"],
-        ["bench-threads", "-k", "4", "-m", "100", "--threads-list", "1,0"],
     ],
 )
 def test_inconsistent_options_exit_2(argv, capsys):
@@ -348,6 +281,15 @@ def test_missing_required_option_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "-k", "4"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name", ["bench-tablesize", "bench-threads"])
+def test_retired_sweep_is_usage_error(name, capsys):
+    # A sweep is a shell loop over `generate --format none`.
+    with pytest.raises(SystemExit) as exc:
+        main([name, "-k", "4", "-m", "100"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_threads_env_sets_default(tmp_path, monkeypatch):
@@ -364,6 +306,12 @@ def test_threads_env_rejected_when_invalid(capsys, monkeypatch):
     monkeypatch.setenv("RMAT_THREADS", "lots")
     assert main(["generate", "-k", "4", "-m", "10", "--format", "none"]) == 2
     assert "not an integer" in capsys.readouterr().err
+
+
+def test_threads_env_ignored_without_threads_option(capsys, monkeypatch):
+    monkeypatch.setenv("RMAT_THREADS", "0")
+    assert main(["table-dump", "-k", "2", "--table", "fixed", "--depth", "1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
 
 
 def test_flag_overrides_threads_env(monkeypatch):

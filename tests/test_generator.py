@@ -281,6 +281,42 @@ def test_work_bound():
         assert res.samples_consumed <= m * (k / l_min + 1)
 
 
+def test_samples_do_not_rise_with_variable_table_size():
+    params = params_for(G500, 8)
+    samples = [
+        generate_result(GenConfig(params=params, table=variable_table(G500, 8, size),
+                                  edge_count=2000, seed=1)).samples_consumed
+        for size in (4, 253, 1021)
+    ]
+    assert samples == sorted(samples, reverse=True)
+
+
+def test_output_allocated_before_blocks_are_listed(monkeypatch):
+    # 2^36 edges are 2^20 blocks.  An output too large to hold must fail
+    # before their units are listed, not after a million Stream handles.
+    empty = np.empty
+
+    def refuse_huge(shape, *args, **kwargs):
+        if np.prod(shape) >= 1 << 36:
+            raise MemoryError("output")
+        return empty(shape, *args, **kwargs)
+
+    built = []
+
+    def counted(*key):
+        built.append(key)
+        assert len(built) <= 8, "block units listed before the output was allocated"
+        return Stream(*key)
+
+    monkeypatch.setattr(np, "empty", refuse_huge)
+    monkeypatch.setattr(generator, "Stream", counted)
+    config = GenConfig(params=params_for(G500, 20), table=variable_table(G500, 20, 253),
+                       edge_count=1 << 36, seed=1)
+    with pytest.raises(MemoryError, match="output"):
+        generate_result(config)
+    assert built == []
+
+
 def test_determinism_same_config():
     cfg = GenConfig(params=params_for(G500, 10), table=variable_table(G500, 10, 253),
                     edge_count=10_000, seed=123)

@@ -207,11 +207,13 @@ def test_determinism_byte_identical():
 
 
 def test_stats_fixed_depth_exact():
-    s = table_stats(fixed_table(G500, 4, 5))
-    assert s.expected_depth == 5.0
-    assert s.entry_count == 4**5
-    assert s.min_prob == pytest.approx(0.05**5, rel=1e-9)
-    assert s.max_prob == pytest.approx(0.57**5, rel=1e-9)
+    for depth in (1, 2, 3, 5):
+        t = fixed_table(G500, 4, depth)
+        s = table_stats(t)
+        assert t.mean_depth == s.expected_depth == depth
+        assert s.entry_count == 4**depth
+        assert s.min_prob == pytest.approx(0.05**depth, rel=1e-9)
+        assert s.max_prob == pytest.approx(0.57**depth, rel=1e-9)
 
 
 def test_stats_graph500_s1021():
