@@ -291,6 +291,16 @@ def test_samples_do_not_rise_with_variable_table_size():
     assert samples == sorted(samples, reverse=True)
 
 
+def test_fixed_tables_consume_k_over_depth_samples():
+    # a uniform-depth table spends one sample per depth levels, so k levels
+    # per edge cost k / depth samples; leftover levels carry to the next edge
+    k, m = 8, 2000
+    for depth in (1, 2, 3):
+        res = generate_result(GenConfig(params=params_for(G500, k), table=fixed_table(G500, k, depth),
+                                        edge_count=m, seed=1))
+        assert res.samples_consumed == -(-m * k // depth)
+
+
 def test_output_allocated_before_blocks_are_listed(monkeypatch):
     # 2^36 edges are 2^20 blocks.  An output too large to hold must fail
     # before their units are listed, not after a million Stream handles.
