@@ -126,15 +126,13 @@ class _Compiled:
     row_bits: np.ndarray
     col_bits: np.ndarray
     packed: np.ndarray | None  # (row_bits << 32) | col_bits when depths fit
-    bits: np.ndarray  # (2, size) uint64: row bits over column bits
-    size: int
-    index_mask: np.uint64 | None  # set when size is a power of two
+    bits: np.ndarray  # (2, len(table)) uint64: row bits over column bits
+    index_mask: np.uint64  # sampler.size - 1; that size is a power of two
     fixed_depth: int | None  # set when every entry has the same depth
     mean_depth: float
 
 
 def _compile(table: FragmentTable) -> _Compiled:
-    n = len(table)
     dmin = int(table.depths.min())
     dmax = int(table.depths.max())
     narrow = np.uint16 if dmax <= 16 else np.uint32 if dmax <= 32 else np.uint64
@@ -146,22 +144,16 @@ def _compile(table: FragmentTable) -> _Compiled:
         col_bits=table.col_bits.astype(narrow),
         packed=(table.row_bits << np.uint64(32)) | table.col_bits if dmax <= 32 else None,
         bits=np.stack([table.row_bits, table.col_bits]).astype(np.uint64),
-        size=n,
-        index_mask=np.uint64(n - 1) if n & (n - 1) == 0 else None,
+        index_mask=np.uint64(table.sampler.size - 1),
         fixed_depth=dmin if dmin == dmax else None,
         mean_depth=table.mean_depth,
     )
 
 
 def _select(comp: _Compiled, raw: np.ndarray) -> np.ndarray:
-    # One 64-bit word per sample: high half picks the bucket, low half is
-    # the acceptance fraction.
-    idx = raw >> np.uint64(32)
-    if comp.index_mask is not None:
-        idx &= comp.index_mask
-    else:
-        idx %= np.uint64(comp.size)
-    idx = idx.astype(np.intp)
+    # One word per sample: its high half masked to a power-of-two bucket
+    # count is the bucket (viewed as int64, no copy); its low half the fraction.
+    idx = ((raw >> np.uint64(32)) & comp.index_mask).view(np.int64)
     return np.where((raw & _MASK32) < comp.thr32[idx], idx, comp.alias[idx])
 
 
@@ -410,14 +402,14 @@ def _emit_reference(
     """
     seed, block_index = stream_key
     gen = keyed_stream(int(seed), DOMAIN_BLOCK, int(block_index))
-    n = len(table)
+    mask = table.sampler.size - 1
     out = np.empty((count, 2), dtype=np.uint64)
     st = EdgeEmitState()
     emitted = 0
     samples = 0
     while emitted < count:
         w = int(gen.bit_generator.random_raw())
-        e = int(alias_sample(table.sampler, ((w >> 32) % n, (w & 0xFFFFFFFF) * 2.0**-32)))
+        e = int(alias_sample(table.sampler, ((w >> 32) & mask, (w & 0xFFFFFFFF) * 2.0**-32)))
         samples += 1
         d = int(table.depths[e])
         st.row_acc = (st.row_acc << d) | int(table.row_bits[e])

@@ -146,6 +146,8 @@ def plan_tiles(plan: PartitionPlan, params: RmatParams, part: int = 0) -> list[T
     interleaved digit string with a leading 1 sentinel, so distinct nodes
     always key distinct streams.
     """
+    if not 0 <= part < len(plan.owner_rows):
+        raise ValueError(f"part must be in [0, {len(plan.owner_rows)}), got {part}")
     lo, hi = plan.owner_rows[part]
     out: list[TileCount] = []
 
@@ -287,6 +289,8 @@ def generate_part(
     compiled once and reused across tiles.  Tile batches, or tiles in
     distinct mode, run on up to `threads` threads without changing the bytes.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     tiles = plan_tiles(plan, params, part)
     total, units = _units(_compile(table), tiles, plan.k, plan.t, plan.seed, distinct)
     edges, samples = _run_units(total, units, threads)

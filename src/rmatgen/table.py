@@ -63,6 +63,9 @@ class FragmentTable:
     (row, col) bit pairs as a path in the 4-ary recursion tree, the entries
     are exactly the leaves of a finite tree: no entry prefixes another and
     every infinite path meets exactly one entry.
+
+    sampler.size is the least power of two >= len(table); the buckets past
+    len(table) have zero weight (threshold 0, alias a real entry).
     """
 
     row_bits: np.ndarray  # uint64
@@ -91,12 +94,13 @@ class FragmentTable:
 
 def _assemble(row, col, dep, prob, kind: str) -> FragmentTable:
     dep = dep.astype(np.uint64)
+    pad = (1 << (len(prob) - 1).bit_length()) - len(prob)
     table = FragmentTable(
         row_bits=row.astype(np.uint64),
         col_bits=col.astype(np.uint64),
         depths=dep,
         probs=prob,
-        sampler=build_alias(prob),
+        sampler=build_alias(np.concatenate([prob, np.zeros(pad)])),
         max_depth=int(dep.max()),
         kind=kind,
         mean_depth=float(np.dot(prob, dep.astype(np.float64))),

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import sys
 import threading
@@ -84,6 +85,39 @@ def test_top_up_draws_match_reference(k, tag):
     got, used = _emit_general(starved, k, segments)
     assert used == sum(r[1] for r in refs)
     assert (got == np.concatenate([r[0] for r in refs])).all()
+
+
+# 1030 entries pad to 2048 buckets; fixed depth 5 has 4^5 and pads none.
+@pytest.mark.parametrize("tag", ["v253", "v1021", "v8191", "s1021", "v1030", "f5"])
+def test_bucket_mapping_is_exact(tag):
+    # Enumerates every bucket rather than sampling: each 64-bit word picks
+    # bucket (word >> 32) & (size - 1), and bucket b keeps entry b on the
+    # low-half fractions below thr32[b] and yields alias[b] on the rest.
+    table = table_for(tag)
+    n, size = len(table), table.sampler.size
+    assert size & (size - 1) == 0 and n <= size < 2 * n
+    assert (table.sampler.threshold[n:] == 0).all()
+    assert (table.sampler.alias[n:] < n).all()
+    comp = _compile(table)
+    high = np.array([0, n - 1, n, (1 << 32) - 1], dtype=np.uint64)
+    bucket = (high & np.uint64(size - 1)).astype(np.intp)
+    expect = np.where(comp.thr32[bucket] > 0, bucket, comp.alias[bucket])
+    assert (generator._select(comp, high << np.uint64(32)) == expect).all()
+    # Shares in units of one fraction value (2^-32) of one bucket.
+    shares = comp.thr32.astype(np.int64)
+    np.add.at(shares, comp.alias, (1 << 32) - shares)
+    assert (shares[n:] == 0).all() and shares.sum() == size << 32
+    buckets = 1 + np.bincount(comp.alias, minlength=size)[:n]
+    assert (np.abs(shares[:n] - table.probs * (size << 32)) <= buckets).all()
+
+
+def test_generate_result_bytes_pinned():
+    # The default CLI table, four blocks of which the last is partial.
+    config = GenConfig(params=params_for(G500, 20), table=variable_table(G500, 20, 8191),
+                       edge_count=200_000, seed=1)
+    res = generate_result(config)
+    got = hashlib.blake2b(res.edges.astype("<u8").tobytes(), digest_size=16).hexdigest()
+    assert (res.samples_consumed, got) == (502014, "d65abd1599fc221bd863d0428ddd15a5")
 
 
 def test_depth_equal_k_uses_one_sample_per_edge():

@@ -280,15 +280,15 @@ def test_tile_distinct_mode_stalls_on_unreachable_cells():
 
 
 def test_tile_distinct_mode_bound_counts_consecutive_rounds(monkeypatch):
-    # The last cell of this tile arrives after 1026 fruitless rounds in a
-    # row, so a bound of 1026 stops it one round early.
+    # The last cell of this tile arrives after 90 fruitless rounds in a
+    # row, so a bound of 90 stops it one round early.
     k, t = 4, 2
     table = variable_table(G500, k, 253)
     args = ((1, 3), 16, params_for(G500, k), table)
-    monkeypatch.setattr(partition_mod, "MAX_STALLED_ROUNDS", 1026)
+    monkeypatch.setattr(partition_mod, "MAX_STALLED_ROUNDS", 90)
     with pytest.raises(DistinctFillStalled, match="at 15 of 16"):
         generate_tile(*args, k=k, t=t, seed=7, distinct=True)
-    monkeypatch.setattr(partition_mod, "MAX_STALLED_ROUNDS", 1027)
+    monkeypatch.setattr(partition_mod, "MAX_STALLED_ROUNDS", 91)
     assert len(generate_tile(*args, k=k, t=t, seed=7, distinct=True)) == 16
 
 
@@ -352,6 +352,23 @@ def test_generate_part_empty_plan():
     assert samples == 0
 
 
+@pytest.mark.parametrize("part", [-1, 2])
+def test_part_outside_plan_rejected(part):
+    params = params_for(G500, 8)
+    plan = default_plan(8, 2, 1000, 1, parts=2)
+    with pytest.raises(ValueError, match=r"part must be in \[0, 2\), got"):
+        plan_tiles(plan, params, part)
+    with pytest.raises(ValueError, match=r"part must be in \[0, 2\), got"):
+        generate_part(plan, params, variable_table(G500, 8, 253), part=part)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_generate_part_rejects_bad_thread_count(threads):
+    plan = default_plan(8, 2, 1000, 1)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        generate_part(plan, params_for(G500, 8), variable_table(G500, 8, 253), threads=threads)
+
+
 def test_partitioned_pooled_output_matches_exact_probs():
     # distribution equivalence of partitioned generation, pooled over tiles
     k, t, m = 4, 2, 10**6
@@ -390,7 +407,7 @@ def test_generate_part_equals_per_tile_generation(kind, k, t, m, parts, part):
 @pytest.mark.parametrize(
     "kind,samples,digest",
     [
-        ("variable", 943310, "62532278226aae8d5857f24c0b86df15"),
+        ("variable", 943590, "76f239a7b5eeb7793faacc00173359d5"),
         ("fixed", 1145856, "35453d1540e71cfd109e046cba76b398"),
     ],
 )
@@ -408,14 +425,15 @@ def test_generate_part_bytes_pinned(kind, samples, digest):
 @pytest.mark.parametrize(
     "kind,samples,digest",
     [
-        ("variable", 13779, "6a07f2062daee0685195a5a93afb7cc1"),
+        ("variable", 13421, "77042bb2fd752bfefda9317461c61414"),
         ("fixed", 22238, "d465ca9a6f765e603147258c2d6269e0"),
     ],
 )
 def test_generate_part_distinct_bytes_pinned(kind, samples, digest, monkeypatch):
-    # Recorded while every tile still built its own Generator.  The tiles
-    # of this plan take about three top-up rounds each, and every one
-    # resumes its tile's stream where the previous round stopped drawing.
+    # The fixed row was recorded while every tile still built its own
+    # Generator.  The tiles of this plan take about three top-up rounds
+    # each, and every one resumes its tile's stream where the previous
+    # round stopped drawing.
     rounds = []
     original = partition_mod._emit
 
