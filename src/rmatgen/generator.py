@@ -14,8 +14,9 @@ bit-identical:
   emits their edges back to back, which lets the partition module fill
   many small tiles in one call.
 - The fixed-depth kernel exploits the periodic alignment of equal-depth
-  fragments with edges.  It serves the blocks of fixed-depth tables, where
-  it is about twice as fast as the word stream.
+  fragments with edges.  It serves the blocks of every fixed-depth table
+  at any k, with row and column bits in one 64-bit lane up to k = 32 and
+  in two lanes above, and it is about twice as fast as the word stream.
 
 `naive_edge` / `naive_edges` implement the textbook one-draw-per-level
 generator that serves as the statistical oracle and the performance
@@ -48,10 +49,6 @@ from .params import MAX_K, BadExponent, RmatParams
 from .table import FragmentTable
 
 DEFAULT_BLOCK_SIZE = 1 << 16
-
-#: Widest per-edge fragment window the two-dimensional fixed-depth kernel
-#: will materialize; wider windows fall through to the general kernel.
-_MAX_WINDOW = 16
 
 _ONE = np.uint64(1)
 _SIX = np.uint64(6)
@@ -116,16 +113,12 @@ class _Compiled:
     acceptance test `frac < threshold` is decided as
     (word & 0xffffffff) < ceil(threshold * 2**32), which is exact because
     threshold * 2**32 is a power-of-two scaling and never rounds.
-    Indices are intp and bit strings use the narrowest sufficient width,
-    keeping the gather stage cache-friendly.
     """
 
     thr32: np.ndarray
     alias: np.ndarray  # intp
     depths: np.ndarray
-    row_bits: np.ndarray
-    col_bits: np.ndarray
-    packed: np.ndarray | None  # (row_bits << 32) | col_bits when depths fit
+    packed: np.ndarray | None  # (row_bits << 32) | col_bits for fixed tables
     bits: np.ndarray  # (2, len(table)) uint64: row bits over column bits
     index_mask: np.uint64  # sampler.size - 1; that size is a power of two
     fixed_depth: int | None  # set when every entry has the same depth
@@ -134,18 +127,16 @@ class _Compiled:
 
 def _compile(table: FragmentTable) -> _Compiled:
     dmin = int(table.depths.min())
-    dmax = int(table.depths.max())
-    narrow = np.uint16 if dmax <= 16 else np.uint32 if dmax <= 32 else np.uint64
+    fixed = dmin == int(table.depths.max())
     return _Compiled(
         thr32=np.ceil(table.sampler.threshold * 2.0**32).astype(np.uint64),
         alias=table.sampler.alias.astype(np.intp),
         depths=table.depths,
-        row_bits=table.row_bits.astype(narrow),
-        col_bits=table.col_bits.astype(narrow),
-        packed=(table.row_bits << np.uint64(32)) | table.col_bits if dmax <= 32 else None,
+        # Equal depths need 4**depth entries, so a fixed table always packs.
+        packed=(table.row_bits << np.uint64(32)) | table.col_bits if fixed else None,
         bits=np.stack([table.row_bits, table.col_bits]).astype(np.uint64),
         index_mask=np.uint64(table.sampler.size - 1),
-        fixed_depth=dmin if dmin == dmax else None,
+        fixed_depth=dmin if fixed else None,
         mean_depth=table.mean_depth,
     )
 
@@ -191,59 +182,48 @@ def _emit_fixed(comp: _Compiled, k: int, count: int, stream: Stream) -> tuple[np
     survives into the hot loop.
     """
     l = comp.fixed_depth
-    assert l is not None
+    assert l is not None and comp.packed is not None
     ge, gf, plan = _fixed_plan(k, l)
     nsuper = (count + ge - 1) // ge
     nf = (count * k + l - 1) // l  # minimal cover; the pad words below
     sel = _select(comp, stream.words(nsuper * gf))  # are never observable
 
-    if comp.packed is not None and k <= 32:
-        # Row bits ride in the high 32-bit lane and column bits in the low
-        # lane of one word.  Drop and place shifts are identical for the
-        # two sides of a piece, so one shift-mask-or serves both; bits
-        # bleeding across the lane boundary are removed by the mask.
-        frag = comp.packed[sel].reshape(nsuper, gf).T.copy()
-        out = np.empty((nsuper, ge), dtype=np.uint64)
-        for j, pieces in enumerate(plan):
-            c, s, mask = pieces[0]
-            m = np.uint64((mask << 32) | mask)
-            sh = np.uint64(abs(s))
-            acc = ((frag[c] << sh) if s >= 0 else (frag[c] >> sh)) & m
-            for c, s, mask in pieces[1:]:
-                m = np.uint64((mask << 32) | mask)
-                sh = np.uint64(abs(s))
-                acc |= ((frag[c] << sh) if s >= 0 else (frag[c] >> sh)) & m
-            out[:, j] = acc
-        flat = out.reshape(-1)[:count]
-        edges = np.empty((count, 2), dtype=np.uint64)
-        edges[:, 0] = flat >> np.uint64(32)
-        edges[:, 1] = flat & _MASK32
-        return edges, nf
+    # One gather, then a transpose so each of the gf fragment columns is
+    # contiguous.  Up to k = 32 one lane carries both sides, row bits in
+    # the high half of each word and column bits in the low half: drop and
+    # place shifts are identical for the two sides of a piece, so one
+    # shift-mask-or with a doubled mask serves both, and bits bleeding
+    # across the halves are removed by the mask.  Wider edges split the
+    # words into two lanes, row over column.
+    words = comp.packed[sel].reshape(nsuper, gf).T
+    if k <= 32:
+        frag = words.copy()[:, None]
+        double = (1 << 32) | 1
+    else:
+        frag = np.empty((gf, 2, nsuper), dtype=np.uint64)
+        np.right_shift(words, np.uint64(32), out=frag[:, 0])
+        np.bitwise_and(words, _MASK32, out=frag[:, 1])
+        double = 1
+    del words  # its pages then serve the piece loop: fewer page faults
 
-    # One gather per fragment, then transpose so each of the gf fragment
-    # columns is contiguous; widening to uint64 rides along for free.
-    rows = comp.row_bits[sel].reshape(nsuper, gf).T.astype(np.uint64)
-    cols = comp.col_bits[sel].reshape(nsuper, gf).T.astype(np.uint64)
-
-    u = np.empty((nsuper, ge), dtype=np.uint64)
-    v = np.empty((nsuper, ge), dtype=np.uint64)
-    for j, pieces in enumerate(plan):
-        c, s, mask = pieces[0]
-        m = np.uint64(mask)
+    def piece(c: int, s: int, mask: int) -> np.ndarray:
         sh = np.uint64(abs(s))
-        acc_u = ((rows[c] << sh) if s >= 0 else (rows[c] >> sh)) & m
-        acc_v = ((cols[c] << sh) if s >= 0 else (cols[c] >> sh)) & m
-        for c, s, mask in pieces[1:]:
-            m = np.uint64(mask)
-            sh = np.uint64(abs(s))
-            acc_u |= ((rows[c] << sh) if s >= 0 else (rows[c] >> sh)) & m
-            acc_v |= ((cols[c] << sh) if s >= 0 else (cols[c] >> sh)) & m
-        u[:, j] = acc_u
-        v[:, j] = acc_v
+        return ((frag[c] << sh) if s >= 0 else (frag[c] >> sh)) & np.uint64(mask * double)
 
+    out = np.empty((frag.shape[1], nsuper, ge), dtype=np.uint64)
+    for j, (first, *rest) in enumerate(plan):
+        acc = piece(*first)
+        for p in rest:
+            acc |= piece(*p)
+        out[:, :, j] = acc
+
+    lanes = out.reshape(len(out), -1)[:, :count]
     edges = np.empty((count, 2), dtype=np.uint64)
-    edges[:, 0] = u.reshape(-1)[:count]
-    edges[:, 1] = v.reshape(-1)[:count]
+    if k <= 32:
+        np.right_shift(lanes[0], np.uint64(32), out=edges[:, 0])
+        np.bitwise_and(lanes[0], _MASK32, out=edges[:, 1])
+    else:
+        edges.T[:] = lanes
     return edges, nf
 
 
@@ -362,7 +342,7 @@ def _run_starts(csum: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.nda
 def _emit(comp: _Compiled, k: int, count: int, stream: Stream) -> tuple[np.ndarray, int]:
     if count == 0:
         return np.empty((0, 2), dtype=np.uint64), 0
-    if comp.fixed_depth is not None and (k - 1) // comp.fixed_depth + 2 <= _MAX_WINDOW:
+    if comp.fixed_depth is not None:
         return _emit_fixed(comp, k, count, stream)
     return _emit_general(comp, k, [(count, stream)])
 

@@ -76,40 +76,15 @@ def exact_cell_probs(params: RmatParams, k: int) -> np.ndarray:
     return reduce(np.kron, [level] * k).ravel()
 
 
-def _norm_ppf(p: float) -> float:
-    """Inverse standard normal CDF (Acklam's rational approximation).
-
-    Absolute error below 1.2e-9 over (0, 1), far finer than the quantile
-    tolerances used here.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5]) / \
-            ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    if p > 1.0 - p_low:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5]) / \
-            ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    q = p - 0.5
-    r = q * q
-    return (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q / \
-        (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-
-
 def chi_square_quantile(dof: int, upper_tail: float) -> float:
     """Chi-square quantile at probability 1 - upper_tail (Wilson-Hilferty)."""
-    z = _norm_ppf(1.0 - upper_tail)
+    if not 0.0 < upper_tail < 1.0:
+        raise ValueError(f"upper_tail must be in (0, 1), got {upper_tail}")
+    # Imported here: at module level statistics would add about 0.4 MB to
+    # every `rmat generate`, because the cli imports this module.
+    from statistics import NormalDist
+
+    z = NormalDist().inv_cdf(1.0 - upper_tail)
     t = 2.0 / (9.0 * dof)
     return dof * (1.0 - t + z * math.sqrt(t)) ** 3
 

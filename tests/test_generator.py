@@ -41,7 +41,7 @@ def table_for(tag):
 # against it pins down every shift, mask, and sample-consumption decision
 # of the vectorized kernels.
 @pytest.mark.parametrize("k", [1, 3, 13, 31, 32, 33, 62])
-@pytest.mark.parametrize("tag", ["f1", "f5", "v253", "s8191"])
+@pytest.mark.parametrize("tag", ["f1", "f5", "f8", "v253", "s8191"])
 @pytest.mark.parametrize("count", [1, 17, 1000])
 def test_vectorized_matches_scalar_reference(k, tag, count):
     table = table_for(tag)
@@ -66,6 +66,21 @@ def test_general_kernel_agrees_with_fixed_kernel():
         eg, ng = _emit_general(forced, k, [(3000, Stream(1, DOMAIN_BLOCK, 0))])
         assert nf == ng
         assert (ef == eg).all()
+
+
+def test_every_fixed_table_takes_the_fixed_kernel(monkeypatch):
+    # Depth 1 at k = 30 spans 31 fragments per edge, and depth 4 at k = 62
+    # needs two 32-bit lanes; neither may fall back to the word stream.
+    calls = []
+    monkeypatch.setattr(generator, "_emit_general", lambda *a: calls.append(a))
+    for k, depth in ((30, 1), (48, 2), (62, 4)):
+        table = fixed_table(G500, 4, depth)
+        res = generate_result(GenConfig(params=params_for(G500, k), table=table,
+                                        edge_count=1100, seed=4, block_size=500))
+        for lo in range(0, 1100, 500):
+            ref, _ = _emit_reference(table, k, min(500, 1100 - lo), (4, lo // 500))
+            assert (res.edges[lo : lo + 500] == ref).all()
+    assert calls == []
 
 
 @pytest.mark.parametrize("k", [13, 62])

@@ -410,6 +410,7 @@ def test_generate_part_equals_per_tile_generation(kind, k, t, m, parts, part):
         ("variable", 943590, "76f239a7b5eeb7793faacc00173359d5"),
         ("fixed", 1145856, "35453d1540e71cfd109e046cba76b398"),
     ],
+    ids=["variable", "fixed"],
 )
 def test_generate_part_bytes_pinned(kind, samples, digest):
     # Output bytes and sample counts are part of the contract.  Part 0 of
@@ -428,6 +429,7 @@ def test_generate_part_bytes_pinned(kind, samples, digest):
         ("variable", 13421, "77042bb2fd752bfefda9317461c61414"),
         ("fixed", 22238, "d465ca9a6f765e603147258c2d6269e0"),
     ],
+    ids=["variable", "fixed"],
 )
 def test_generate_part_distinct_bytes_pinned(kind, samples, digest, monkeypatch):
     # The fixed row was recorded while every tile still built its own
@@ -451,6 +453,27 @@ def test_generate_part_distinct_bytes_pinned(kind, samples, digest, monkeypatch)
     resumed = [pos for pos in rounds if pos]
     assert len(resumed) > 2 * sum(1 for tc in tiles if tc.count)
     assert any(pos % 4 for pos in resumed)
+
+
+@pytest.mark.parametrize(
+    "distinct,samples,digest",
+    [
+        (False, 3600000, "fe40791098d8d31f53e15d7f5245e61a"),
+        (True, 3604014, "485fdb0a3d47981be2ff7db5448a67a3"),
+    ],
+    ids=["fixed", "fixed-distinct"],
+)
+def test_generate_part_depth1_bytes_pinned(distinct, samples, digest):
+    # Depth 1 at k - t = 18 puts 18 fragments under every edge.  Plain mode
+    # fills tile batches from the word stream.  Distinct mode runs the fixed
+    # kernel on every round, and its draw size sets where a tile's next
+    # round resumes the tile's stream.
+    k = 20
+    plan = default_plan(k=k, t=2, m=200_000, seed=1)
+    table = fixed_table(G500, k, 1)
+    edges, _, used = generate_part(plan, params_for(G500, k), table, distinct=distinct)
+    got = hashlib.blake2b(edges.astype("<u8").tobytes(), digest_size=16).hexdigest()
+    assert (len(edges), used, got) == (200_000, samples, digest)
 
 
 def test_generate_part_batches_close_at_one_block(monkeypatch):

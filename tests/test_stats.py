@@ -18,7 +18,7 @@ from rmatgen import (
     naive_edges,
     pool_small_cells,
 )
-from rmatgen.stats import InvalidExpectedVector, _norm_ppf
+from rmatgen.stats import InvalidExpectedVector
 from conftest import SKEWED, UNIFORM, params_for, variable_table
 
 G500 = (0.57, 0.19, 0.19, 0.05)
@@ -136,7 +136,18 @@ def test_quantile_against_scipy(dof, tol, alpha):
 
 @pytest.mark.parametrize("p", [1e-9, 1e-4, 0.02425, 0.3, 0.5, 0.7, 0.97575, 1 - 1e-4])
 def test_inverse_normal_against_scipy(p):
-    assert _norm_ppf(p) == pytest.approx(scipy.stats.norm.ppf(p), abs=1e-6)
+    # Undo Wilson-Hilferty's map dof * (1 - t + z * sqrt(t))**3: the normal
+    # deviate z behind the quantile must be exact far into both tails.
+    dof = 10
+    t = 2.0 / (9.0 * dof)
+    z = ((chi_square_quantile(dof, 1.0 - p) / dof) ** (1 / 3) - 1.0 + t) / math.sqrt(t)
+    assert z == pytest.approx(scipy.stats.norm.ppf(p), abs=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, math.nan])
+def test_quantile_rejects_tail_outside_unit_interval(alpha):
+    with pytest.raises(ValueError):
+        chi_square_quantile(10, alpha)
 
 
 def test_pool_small_cells_conserves_mass():
