@@ -24,6 +24,7 @@ from .generator import (
     emit_block,
     generate,
     generate_result,
+    generate_stream,
     naive_edge,
     naive_edges,
 )
@@ -47,6 +48,7 @@ from .partition import (
     TileCount,
     default_plan,
     generate_part,
+    generate_part_stream,
     generate_tile,
     plan_tiles,
     split_quadrant_counts,
@@ -96,12 +98,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AliasTable", "alias_sample", "build_alias",
     "DEFAULT_BLOCK_SIZE", "Edge", "GenConfig", "GenResult", "emit_block",
-    "generate", "generate_result", "naive_edge", "naive_edges",
+    "generate", "generate_result", "generate_stream", "naive_edge", "naive_edges",
     "GRAPH500", "MAX_K", "BadExponent", "NegativeOrZeroWeight", "RmatParams",
     "SumOutOfTolerance", "entropy", "speedup_bound", "validate",
     "MAX_STALLED_ROUNDS", "MAX_TILE_BITS", "CountOverflowsTile",
     "DistinctFillStalled", "PartitionPlan", "TileCount",
-    "default_plan", "generate_part", "generate_tile", "plan_tiles",
+    "default_plan", "generate_part", "generate_part_stream", "generate_tile", "plan_tiles",
     "split_quadrant_counts",
     "EdgeOutsideDeclaredTile", "ScrambleKey", "dedup_local",
     "make_scramble_key", "mirrored", "scramble", "scramble_edges",

@@ -10,9 +10,11 @@ Subcommands:
 without writing, so a sweep over table sizes or thread counts is a shell
 loop over it; perfbench/ is the harness whose timings count.
 
-Exit codes: 0 on success, 1 when `verify` reports a failing verdict, 2 on
-configuration or I/O errors.  Output files are written to a temp path and
-renamed into place, so a failed run leaves no partial file behind.
+`generate` appends each unit of edges (a block, or a batch of tiles) to a
+temp file as it arrives, so memory holds a bounded window of units, not -m
+edges; --dedup is global and holds every edge plus the sort's copies.  The
+temp file is renamed into place last, so a failed run leaves no file.  Exit
+codes: 0 on success, 1 for a failing `verify` verdict, 2 on any error.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import DEFAULT_BLOCK_SIZE, GenConfig, generate_result
+from .generator import DEFAULT_BLOCK_SIZE, GenConfig, generate_result, generate_stream
 from .params import GRAPH500, RmatParams, validate
-from .partition import default_plan, generate_part
+from .partition import default_plan, generate_part, generate_part_stream
 from .postprocess import dedup_local, make_scramble_key, scramble_edges, to_undirected
 from .stats import MAX_ENUM_K, cell_histogram, chi_square, exact_cell_probs, pool_small_cells
 from .table import (
@@ -197,18 +199,14 @@ def _text_block(edges: np.ndarray) -> np.ndarray:
     return digits.T[keep.T]
 
 
-def _write_edges(path: str, fmt: str, edges: np.ndarray) -> None:
+def _append_edges(f, fmt: str, edges: np.ndarray) -> None:
     if fmt == "binary":
         # Consecutive (u, v) records of two 64-bit little-endian uints.
-        _write_file(path, lambda f: edges.astype("<u8", copy=False).tofile(f))
+        edges.astype("<u8", copy=False).tofile(f)
         return
-
-    def write_lines(f) -> None:
-        # 'u v' lines, formatted one block at a time so memory stays O(block).
-        for lo in range(0, len(edges), DEFAULT_BLOCK_SIZE):
-            f.write(_text_block(edges[lo : lo + DEFAULT_BLOCK_SIZE]))
-
-    _write_file(path, write_lines)
+    # 'u v' lines, formatted one block at a time so memory stays O(block).
+    for lo in range(0, len(edges), DEFAULT_BLOCK_SIZE):
+        f.write(_text_block(edges[lo : lo + DEFAULT_BLOCK_SIZE]))
 
 
 def _write_text(path: str | None, lines: list[str]) -> None:
@@ -229,41 +227,58 @@ def run_generate(config: RunConfig) -> int:
         )
     table = _build_table(config, params)
 
-    # seconds= covers tile planning, edge generation and postprocessing;
-    # table construction is outside it, and write_seconds= times the file
-    # write.
+    # write_seconds= sums the time inside the file writes, and seconds= is the
+    # rest from tile planning on (generation and postprocessing, which without
+    # --dedup interleave with the writes unit by unit); table build is outside.
     t0 = time.perf_counter()
     if config.tiles is not None:
         plan = default_plan(config.k, config.tiles, config.m, config.seed, config.parts)
-        edges, _, samples = generate_part(plan, params, table, config.part,
-                                          threads=config.threads)
+        part = (plan, params, table, config.part)
+        if config.dedup:
+            edges, _, used = generate_part(*part, threads=config.threads)
+        else:
+            units = generate_part_stream(*part, threads=config.threads)
     else:
-        res = generate_result(
-            GenConfig(
-                params=params,
-                table=table,
-                edge_count=config.m,
-                seed=config.seed,
-                block_size=DEFAULT_BLOCK_SIZE,
-                threads=config.threads,
-            )
-        )
-        edges, samples = res.edges, res.samples_consumed
-    generated = len(edges)
-    if config.undirected:
-        edges = to_undirected(edges)
+        gen_config = GenConfig(params=params, table=table, edge_count=config.m,
+                               seed=config.seed, threads=config.threads)
+        if config.dedup:
+            res = generate_result(gen_config)
+            edges, used = res.edges, res.samples_consumed
+        else:
+            units = generate_stream(gen_config)
     if config.dedup:
-        edges = dedup_local(edges)
+        # Dedup is global, so this path holds every edge plus the sort's copies.
+        generated = len(edges)
+        if config.undirected:
+            edges = to_undirected(edges)
+        units = [(dedup_local(edges), used)]
+        del edges
+    elif config.undirected:
+        units = ((to_undirected(e), used) for e, used in units)
     if config.scramble:
-        edges = scramble_edges(edges, make_scramble_key(config.seed, config.k))
-    elapsed = max(time.perf_counter() - t0, 1e-9)
+        key = make_scramble_key(config.seed, config.k)
+        units = ((scramble_edges(e, key), used) for e, used in units)
+    written = samples = write_s = 0
 
-    t1 = time.perf_counter()
-    if config.fmt != "none":
-        _write_edges(config.out, config.fmt, edges)
-    write_s = time.perf_counter() - t1
+    def drain(f) -> None:
+        nonlocal written, samples, write_s
+        for edges, used in units:
+            written += len(edges)
+            samples += used
+            if f is not None:
+                t1 = time.perf_counter()
+                _append_edges(f, config.fmt, edges)
+                write_s += time.perf_counter() - t1
+
+    if config.fmt == "none":
+        drain(None)
+    else:
+        _write_file(config.out, drain)
+    elapsed = max(time.perf_counter() - t0 - write_s, 1e-9)
+    if not config.dedup:
+        generated = written  # undirected and scramble keep every edge
     print(
-        f"edges={len(edges)} seconds={elapsed:.3f} "
+        f"edges={written} seconds={elapsed:.3f} "
         f"edges_per_sec={generated / elapsed:.0f} samples={samples} "
         f"samples_per_edge={samples / max(generated, 1):.4f} "
         f"write_seconds={write_s:.3f}"

@@ -24,18 +24,21 @@ baseline.
 
 Every block of edges comes from its own random stream, keyed by
 (seed, block_index), so any block can be produced by any thread in any
-order with identical results.  One loop, `_run_units`, fills one array
-from units with known offsets, in turn or on threads (numpy releases the
-GIL): blocks here, and tile batches or distinct tiles in the partition
-module.  The kernels take `_rng.Stream` handles, which re-key one Philox
-per thread instead of building a Generator per block or tile.
+order with identical results.  One loop, `_stream_units`, yields the
+edges of units (blocks here; tile batches or distinct tiles in the
+partition module) in order, run in turn or on threads (numpy releases the
+GIL) with at most two units per thread in flight.  `generate_stream` hands
+them to a caller that writes each as it comes; `generate_result` gathers
+them.  The kernels take `_rng.Stream` handles, which re-key one Philox per
+thread instead of building a Generator per block or tile.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from collections.abc import Iterable
+from collections import deque
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -445,56 +448,71 @@ def naive_edges(
     return out
 
 
-def _run_units(total: int, units: Iterable, threads: int) -> tuple[np.ndarray, int]:
-    """One (total, 2) array filled from (offset, emit) units, and their samples.
+def _stream_units(count: int, units: Iterable, threads: int) -> Iterator[tuple[np.ndarray, int]]:
+    """The (edges, alias samples) that each of `count` emit() units returns, in order.
 
-    emit() returns a unit's edges, which land from row offset on, and the
-    alias samples they used.  The units run on at most one thread per unit
-    and one per core; threads change who runs a unit, not the bytes.  A
-    lazy `units` is listed only once the array is allocated, so a total
-    too large to hold fails before any unit is built.
+    Units run on at most one thread per unit and one per core, two per
+    thread in flight; threads change who runs a unit, not the bytes.
     """
-    edges = np.empty((total, 2), dtype=np.uint64)
-    units = list(units)
     last = threading.local()
 
-    def run(unit) -> int:
-        lo, emit = unit
+    def run(emit) -> tuple[np.ndarray, int]:
         out, samples = emit()
-        edges[lo : lo + len(out)] = out
         # Each thread keeps its last unit until it has emitted the next, so
         # that glibc's malloc does not hand the top of the heap back to the
         # OS after every unit: `rmat generate -k 20 -m 8388608` then took
         # 455k page faults instead of 7.6k, and 1.65x the time.  So emit()
         # returns its kernel's own output array, not a copy of it.
         last.out = out
-        return samples
+        return out, samples
 
-    workers = max(1, min(threads, len(units), os.cpu_count() or 1))
+    workers = max(1, min(threads, count, os.cpu_count() or 1))
     if workers == 1:
-        return edges, sum(map(run, units))
+        yield from map(run, units)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return edges, sum(pool.map(run, units))
+        # Not pool.map, which submits every unit at once and keeps every result.
+        pending: deque = deque()
+        for emit in units:
+            pending.append(pool.submit(run, emit))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
-def generate_result(config: GenConfig) -> GenResult:
-    """Generate config.edge_count edges; returns them with sample counts.
+def _collect(total: int, units: Iterator[tuple[np.ndarray, int]]) -> tuple[np.ndarray, int]:
+    """A unit stream gathered into one (total, 2) array allocated first, and its samples."""
+    edges = np.empty((total, 2), dtype=np.uint64)
+    lo = samples = 0
+    for out, used in units:
+        edges[lo : lo + len(out)] = out
+        lo += len(out)
+        samples += used
+    return edges, samples
 
-    Output is in block-major order and is a pure function of
-    (seed, table, k, edge_count, block_size).  Each block is one unit of
-    `_run_units`, so the thread count never changes the bytes.  The units
-    are a generator, listed only after the output is allocated.
-    """
+
+def generate_stream(config: GenConfig) -> Iterator[tuple[np.ndarray, int]]:
+    """generate_result's (edges, samples), one block at a time; checks the config first."""
     m = config.edge_count
     B = config.block_size
     k = config.params.k
     _check_k(k)
     comp = _compile(config.table)
     units = (
-        (lo, partial(_emit, comp, k, min(B, m - lo), Stream(config.seed, DOMAIN_BLOCK, lo // B)))
+        partial(_emit, comp, k, min(B, m - lo), Stream(config.seed, DOMAIN_BLOCK, lo // B))
         for lo in range(0, m, B)
     )
-    return GenResult(*_run_units(m, units, config.threads))
+    return _stream_units(-(-m // B), units, config.threads)
+
+
+def generate_result(config: GenConfig) -> GenResult:
+    """Generate config.edge_count edges; returns them with sample counts.
+
+    Output is `generate_stream`'s blocks in order, a pure function of
+    (seed, table, k, edge_count, block_size) whatever the thread count.
+    """
+    return GenResult(*_collect(config.edge_count, generate_stream(config)))
 
 
 def generate(config: GenConfig) -> np.ndarray:

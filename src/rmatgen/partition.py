@@ -9,8 +9,9 @@ bits, each from its own stream keyed by (seed, tile coordinates).  The
 word-stream kernel joins the streams of many small tiles into one call
 of at least a block of edges, so its per-call cost is not paid per tile.
 Each such batch of tiles, or in distinct mode each tile, is one unit of
-the generator's `_run_units`: its place in the output is the sum of the
-tile counts before it, so units fill one array on any number of threads.
+the generator's in-order unit stream, on any number of threads:
+`generate_part_stream` yields the units, and `generate_part` gathers them
+into one array.
 
 Neither a split node nor a tile builds a numpy Generator.  A split node
 re-keys the thread's shared Generator (`_rng.rekeyed`) and makes its
@@ -27,13 +28,14 @@ with the whole grid.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from ._rng import DOMAIN_NODE, DOMAIN_TILE, Stream, rekeyed
-from .generator import DEFAULT_BLOCK_SIZE, _compile, _emit, _emit_general, _run_units
+from .generator import DEFAULT_BLOCK_SIZE, _collect, _compile, _emit, _emit_general, _stream_units
 from .params import RmatParams
 from .postprocess import dedup_local
 from .table import FragmentTable
@@ -174,7 +176,7 @@ def _tile_stream(tc: TileCount, t: int, seed: int) -> Stream:
 def _units(
     comp, tiles: list[TileCount], k: int, t: int, seed: int, distinct: bool
 ) -> tuple[int, list]:
-    """The edge count of `tiles` and the (offset, emit) units that fill it.
+    """The edge count of `tiles` and the emit units that fill it, in order.
 
     A unit is a run of non-empty tiles that closes once it holds a block,
     so one kernel call serves many small tiles with temporaries near one
@@ -192,10 +194,10 @@ def _units(
             batch.append(tc)
             pos += tc.count
         if pos - lo >= close:
-            units.append((lo, partial(emit, comp, batch, k, t, seed)))
+            units.append(partial(emit, comp, batch, k, t, seed))
             batch, lo = [], pos
     if batch:
-        units.append((lo, partial(emit, comp, batch, k, t, seed)))
+        units.append(partial(emit, comp, batch, k, t, seed))
     return pos, units
 
 
@@ -272,7 +274,28 @@ def generate_tile(
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     tc = TileCount(tile_row=row, tile_col=col, count=count)
-    return _run_units(*_units(_compile(table), [tc], k, t, seed, distinct), 1)[0]
+    total, units = _units(_compile(table), [tc], k, t, seed, distinct)
+    return _collect(total, _stream_units(len(units), units, 1))[0]
+
+
+def _part_stream(plan, params, table, part, distinct, threads) -> tuple[list, int, Iterator]:
+    """The part's tile counts, their edge total, and the stream of its units."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    tiles = plan_tiles(plan, params, part)
+    total, units = _units(_compile(table), tiles, plan.k, plan.t, plan.seed, distinct)
+    return tiles, total, _stream_units(len(units), units, threads)
+
+
+def generate_part_stream(
+    plan: PartitionPlan, params: RmatParams, table: FragmentTable,
+    part: int = 0, distinct: bool = False, threads: int = 1,
+) -> Iterator[tuple[np.ndarray, int]]:
+    """generate_part's (edges, samples), one unit at a time; plans the tiles first.
+
+    A unit is a batch of tiles that holds about a block, or one larger tile.
+    """
+    return _part_stream(plan, params, table, part, distinct, threads)[2]
 
 
 def generate_part(
@@ -289,9 +312,6 @@ def generate_part(
     compiled once and reused across tiles.  Tile batches, or tiles in
     distinct mode, run on up to `threads` threads without changing the bytes.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    tiles = plan_tiles(plan, params, part)
-    total, units = _units(_compile(table), tiles, plan.k, plan.t, plan.seed, distinct)
-    edges, samples = _run_units(total, units, threads)
+    tiles, total, units = _part_stream(plan, params, table, part, distinct, threads)
+    edges, samples = _collect(total, units)
     return edges, tiles, samples

@@ -2,11 +2,26 @@ import hashlib
 import io
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rmatgen import DEFAULT_BLOCK_SIZE, build_variable_table, dump_table, validate
+from rmatgen import (
+    DEFAULT_BLOCK_SIZE,
+    GRAPH500,
+    GenConfig,
+    build_variable_table,
+    default_plan,
+    dump_table,
+    generate_part,
+    generate_result,
+    make_scramble_key,
+    plan_tiles,
+    scramble_edges,
+    to_undirected,
+    validate,
+)
 import rmatgen.cli as cli_mod
 import rmatgen.generator as generator
 from rmatgen.cli import _write_file, main
@@ -94,14 +109,15 @@ TEXT_CASES = {
 def test_text_write_matches_savetxt(tmp_path, name):
     edges = TEXT_CASES[name]
     path = tmp_path / "e.txt"
-    cli_mod._write_edges(str(path), "text", edges)
+    _write_file(str(path), lambda f: cli_mod._append_edges(f, "text", edges))
     assert path.read_bytes() == savetxt_bytes(edges)
 
 
 def test_text_write_empty_is_zero_bytes(tmp_path):
     path = tmp_path / "e.txt"
-    cli_mod._write_edges(str(path), "text", np.empty((0, 2), dtype=np.uint64))
-    assert path.read_bytes() == b"" == savetxt_bytes(np.empty((0, 2), dtype=np.uint64))
+    empty = np.empty((0, 2), dtype=np.uint64)
+    _write_file(str(path), lambda f: cli_mod._append_edges(f, "text", empty))
+    assert path.read_bytes() == b"" == savetxt_bytes(empty)
     rc = main(["generate", "-k", "4", "-m", "0", "--dedup", "--format", "text",
                "-o", str(tmp_path / "m0.txt")])
     assert rc == 0
@@ -345,18 +361,36 @@ def test_generate_into_missing_directory_exits_2(tmp_path, capsys):
 
 
 def test_generate_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # --dedup holds every edge, so it is the path that calls generate_result.
     def exhausted(config):
         raise MemoryError
 
     monkeypatch.setattr(cli_mod, "generate_result", exhausted)
+    rc = main(["generate", "-k", "4", "-m", "10", "--dedup", "-o", str(tmp_path / "x.bin")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: out of memory")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_streamed_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    emit = generator._emit
+
+    def failing(comp, k, count, stream):
+        if stream.key[1] == 0:
+            raise MemoryError
+        return emit(comp, k, count, stream)
+
+    monkeypatch.setattr(generator, "_emit", failing)
     rc = main(["generate", "-k", "4", "-m", "10", "-o", str(tmp_path / "x.bin")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: out of memory")
     assert list(tmp_path.iterdir()) == []
 
 
-def test_generate_out_of_memory_in_a_thread_exits_2(tmp_path, capsys, monkeypatch):
-    # Block 3 of 5 fails inside the thread pool; the error reaches main.
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_generate_out_of_memory_in_a_thread_exits_2(tmp_path, capsys, monkeypatch, threads):
+    # Block 3 of 5 fails, inside the thread pool at 2 threads.  At 1
+    # thread blocks 0-2 are already in the temp file by then.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     emit = generator._emit
 
@@ -367,7 +401,64 @@ def test_generate_out_of_memory_in_a_thread_exits_2(tmp_path, capsys, monkeypatc
 
     monkeypatch.setattr(generator, "_emit", failing)
     rc = main(["generate", "-k", "8", "-m", str(4 * DEFAULT_BLOCK_SIZE + 1),
-               "--threads", "2", "-o", str(tmp_path / "x.bin")])
+               "--threads", threads, "-o", str(tmp_path / "x.bin")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: out of memory")
     assert list(tmp_path.iterdir()) == []
+
+
+# ----------------------------------------------------------------- streaming
+
+
+STREAM_PARAMS = validate(*GRAPH500, k=16)
+
+
+def library_edges(tiles, threads):
+    table = build_variable_table(STREAM_PARAMS, 8191)
+    if tiles:
+        plan = default_plan(16, 2, 300_000, 5)
+        edges = generate_part(plan, STREAM_PARAMS, table, threads=threads)[0]
+    else:
+        config = GenConfig(params=STREAM_PARAMS, table=table, seed=5, threads=threads,
+                           edge_count=3 * DEFAULT_BLOCK_SIZE + 123)
+        edges = generate_result(config).edges
+    return scramble_edges(to_undirected(edges), make_scramble_key(5, 16))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["binary", "text"])
+@pytest.mark.parametrize("tiles", [False, True], ids=["untiled", "tiled"])
+def test_streamed_file_matches_library_arrays(tmp_path, monkeypatch, tiles, fmt, threads):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    if tiles:  # the largest tile holds more than a block, so it is a unit of its own
+        counts = [tc.count for tc in plan_tiles(default_plan(16, 2, 300_000, 5), STREAM_PARAMS)]
+        assert max(counts) > DEFAULT_BLOCK_SIZE
+    path = tmp_path / "e.out"
+    ref = library_edges(tiles, int(threads))
+    size = ["-m", "300000", "--tiles", "2"] if tiles else ["-m", str(len(ref))]
+    rc = main(["generate", "-k", "16", *size, "--seed", "5", "--undirected", "--scramble",
+               "--threads", threads, "--format", fmt, "-o", str(path)])
+    assert rc == 0
+    want = savetxt_bytes(ref) if fmt == "text" else ref.astype("<u8").tobytes()
+    assert path.read_bytes() == want
+
+
+def traced_peak(argv):
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("extra", [[], ["--undirected", "--scramble", "--format", "text"]],
+                         ids=["binary", "text"])
+def test_generate_peak_memory_flat_in_m(tmp_path, extra):
+    # 16 blocks must peak within 1.25x of 4 blocks: the CLI holds a window
+    # of units, not the whole edge list.
+    peaks = []
+    for n in (4, 16):
+        peaks.append(traced_peak(["generate", "-k", "16", "-m", str(n * DEFAULT_BLOCK_SIZE),
+                                  "--threads", "1", *extra, "-o", str(tmp_path / f"{n}.out")]))
+    assert peaks[1] <= 1.25 * peaks[0], peaks

@@ -318,6 +318,31 @@ def test_block_error_propagates_from_threads(monkeypatch):
     assert [str(exc) for exc in raised] == ["block 3"]
 
 
+def test_stream_keeps_at_most_two_units_per_worker_in_flight(monkeypatch):
+    # Recorded at each yield: blocks submitted to the pool but not yet
+    # consumed.  pool.map would have submitted all 12 before the first.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    submitted = []
+
+    class Recorder(generator.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submitted.append(None)
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(generator, "ThreadPoolExecutor", Recorder)
+    params = params_for(G500, 10)
+    base = GenConfig(params=params, table=variable_table(G500, 10, 253),
+                     edge_count=12 * 500 - 7, seed=3, block_size=500, threads=2)
+    blocks, in_flight = [], []
+    for edges, _ in generator.generate_stream(base):
+        in_flight.append(len(submitted) - len(blocks))
+        blocks.append(edges)
+    assert len(blocks) == len(submitted) == 12
+    assert max(in_flight) <= 4
+    ref = generate_result(dataclasses.replace(base, threads=1))
+    assert (np.concatenate(blocks) == ref.edges).all()
+
+
 def test_work_bound():
     # samples consumed <= m*(k/l_min + 1)
     for tag, k in (("f1", 8), ("f5", 8), ("v253", 8), ("v1021", 20)):
