@@ -40,10 +40,7 @@ from .params import (
     validate,
 )
 from .partition import (
-    MAX_STALLED_ROUNDS,
     MAX_TILE_BITS,
-    CountOverflowsTile,
-    DistinctFillStalled,
     PartitionPlan,
     TileCount,
     default_plan,
@@ -80,12 +77,15 @@ from .stats import (
 from .table import (
     DEFAULT_DEPTH_CAP,
     MAX_FIXED_DEPTH,
+    MAX_TABLE_ENTRIES,
     DepthOutOfRange,
     FragmentTable,
     NoiseOutOfRange,
     PathEntry,
     SizeLimitTooSmall,
+    TableModelMismatch,
     TableStats,
+    TableTooLarge,
     build_fixed_table,
     build_variable_table,
     dump_table,
@@ -101,8 +101,7 @@ __all__ = [
     "generate", "generate_result", "generate_stream", "naive_edge", "naive_edges",
     "GRAPH500", "MAX_K", "BadExponent", "NegativeOrZeroWeight", "RmatParams",
     "SumOutOfTolerance", "entropy", "speedup_bound", "validate",
-    "MAX_STALLED_ROUNDS", "MAX_TILE_BITS", "CountOverflowsTile",
-    "DistinctFillStalled", "PartitionPlan", "TileCount",
+    "MAX_TILE_BITS", "PartitionPlan", "TileCount",
     "default_plan", "generate_part", "generate_part_stream", "generate_tile", "plan_tiles",
     "split_quadrant_counts",
     "EdgeOutsideDeclaredTile", "ScrambleKey", "dedup_local",
@@ -112,9 +111,9 @@ __all__ = [
     "KTooLargeForEnumeration", "SampleTooSmall", "cell_histogram",
     "chi_square", "chi_square_quantile", "degree_stats", "exact_cell_probs",
     "pool_small_cells",
-    "DEFAULT_DEPTH_CAP", "MAX_FIXED_DEPTH", "DepthOutOfRange",
+    "DEFAULT_DEPTH_CAP", "MAX_FIXED_DEPTH", "MAX_TABLE_ENTRIES", "DepthOutOfRange",
     "FragmentTable", "NoiseOutOfRange", "PathEntry", "SizeLimitTooSmall",
-    "TableStats", "build_fixed_table", "build_variable_table", "dump_table",
-    "perturb_table", "table_stats",
+    "TableModelMismatch", "TableStats", "TableTooLarge", "build_fixed_table",
+    "build_variable_table", "dump_table", "perturb_table", "table_stats",
     "__version__",
 ]

@@ -25,11 +25,11 @@ baseline.
 Every block of edges comes from its own random stream, keyed by
 (seed, block_index), so any block can be produced by any thread in any
 order with identical results.  One loop, `_stream_units`, yields the
-edges of units (blocks here; tile batches or distinct tiles in the
-partition module) in order, run in turn or on threads (numpy releases the
-GIL) with at most two units per thread in flight.  `generate_stream` hands
-them to a caller that writes each as it comes; `generate_result` gathers
-them.  The kernels take `_rng.Stream` handles, which re-key one Philox per
+edges of units (blocks here, tile batches in the partition module) in
+order, run in turn or on threads (numpy releases the GIL) with at most
+two units per thread in flight.  `generate_stream` hands them to a
+caller that writes each as it comes; `generate_result` gathers them.
+The kernels take `_rng.Stream` handles, which re-key one Philox per
 thread instead of building a Generator per block or tile.
 """
 
@@ -49,7 +49,7 @@ import numpy as np
 from ._rng import DOMAIN_BLOCK, DOMAIN_ORACLE, Stream, keyed_stream
 from .alias import alias_sample
 from .params import MAX_K, BadExponent, RmatParams
-from .table import FragmentTable
+from .table import FragmentTable, _check_model
 
 DEFAULT_BLOCK_SIZE = 1 << 16
 
@@ -98,6 +98,7 @@ class GenConfig:
             raise ValueError(f"block_size must be >= 1, got {self.block_size}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
+        _check_model(self.table, self.params)
 
 
 @dataclass(frozen=True)

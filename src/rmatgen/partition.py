@@ -8,18 +8,14 @@ needed.  Tiles are then filled locally on the remaining k - t index
 bits, each from its own stream keyed by (seed, tile coordinates).  The
 word-stream kernel joins the streams of many small tiles into one call
 of at least a block of edges, so its per-call cost is not paid per tile.
-Each such batch of tiles, or in distinct mode each tile, is one unit of
-the generator's in-order unit stream, on any number of threads:
-`generate_part_stream` yields the units, and `generate_part` gathers them
-into one array.
+Each such batch of tiles is one unit of the generator's in-order unit
+stream, on any number of threads: `generate_part_stream` yields the
+units, and `generate_part` gathers them into one array.
 
 Neither a split node nor a tile builds a numpy Generator.  A split node
 re-keys the thread's shared Generator (`_rng.rekeyed`) and makes its
 three binomial draws; a tile is a `_rng.Stream` handle, which the
-kernels re-key on each draw.  Distinct mode continues a tile's stream
-from where its last round stopped, and gives up with
-DistinctFillStalled after MAX_STALLED_ROUNDS rounds in a row that add no
-new cell.
+kernel re-keys on each draw.
 
 Parts own contiguous ranges of tile rows and prune recursion subtrees
 whose rows they do not own, so planning work scales with owned rows, not
@@ -35,30 +31,12 @@ from functools import partial
 import numpy as np
 
 from ._rng import DOMAIN_NODE, DOMAIN_TILE, Stream, rekeyed
-from .generator import DEFAULT_BLOCK_SIZE, _collect, _compile, _emit, _emit_general, _stream_units
+from .generator import DEFAULT_BLOCK_SIZE, _collect, _compile, _emit_general, _stream_units
 from .params import RmatParams
-from .postprocess import dedup_local
-from .table import FragmentTable
+from .table import FragmentTable, _check_model
 
 #: Tile coordinates are packed into one 64-bit stream key as (row << t) | col.
 MAX_TILE_BITS = 31
-
-#: Distinct mode gives up on a tile after this many resampling rounds in a
-#: row add no new cell.  A round draws at least one edge, so a tile whose
-#: missing cells have probability q per edge stalls with probability at
-#: most exp(-q * MAX_STALLED_ROUNDS): under 0.1% for q above 0.0034.  On
-#: skewed models near 4^(k-t) edges, q can be 1e-5 or less, and without
-#: the bound such a tile resamples for minutes to hours.
-MAX_STALLED_ROUNDS = 2048
-
-
-class CountOverflowsTile(ValueError):
-    """Distinct-edge mode asked for more edges than the tile has cells."""
-
-
-class DistinctFillStalled(ValueError):
-    """Distinct-edge mode stopped finding new cells before the tile was full."""
-
 
 @dataclass(frozen=True)
 class TileCount:
@@ -169,35 +147,25 @@ def plan_tiles(plan: PartitionPlan, params: RmatParams, part: int = 0) -> list[T
     return out
 
 
-def _tile_stream(tc: TileCount, t: int, seed: int) -> Stream:
-    return Stream(seed, DOMAIN_TILE, (tc.tile_row << t) | tc.tile_col)
+def _units(comp, tiles: list[TileCount], k: int, t: int, seed: int) -> tuple[int, list]:
+    """The edge count of `tiles` and the batches that fill it, in order.
 
-
-def _units(
-    comp, tiles: list[TileCount], k: int, t: int, seed: int, distinct: bool
-) -> tuple[int, list]:
-    """The edge count of `tiles` and the emit units that fill it, in order.
-
-    A unit is a run of non-empty tiles that closes once it holds a block,
+    A batch is a run of non-empty tiles that closes once it holds a block,
     so one kernel call serves many small tiles with temporaries near one
-    block in size.  A distinct tile resamples alone, so it is one unit.
+    block in size.
     """
-    emit = _distinct_tile if distinct else _batch
-    close = 1 if distinct else DEFAULT_BLOCK_SIZE
     units: list = []
     batch: list[TileCount] = []
     lo = pos = 0
     for tc in tiles:
-        if distinct and tc.count > 4 ** (k - t):
-            raise CountOverflowsTile(f"{tc.count} distinct edges cannot fit {4**(k - t)} cells")
         if tc.count:
             batch.append(tc)
             pos += tc.count
-        if pos - lo >= close:
-            units.append(partial(emit, comp, batch, k, t, seed))
+        if pos - lo >= DEFAULT_BLOCK_SIZE:
+            units.append(partial(_batch, comp, batch, k, t, seed))
             batch, lo = [], pos
     if batch:
-        units.append(partial(emit, comp, batch, k, t, seed))
+        units.append(partial(_batch, comp, batch, k, t, seed))
     return pos, units
 
 
@@ -208,60 +176,27 @@ def _batch(comp, tiles: list[TileCount], k: int, t: int, seed: int) -> tuple[np.
     prefixes = np.repeat(prefix << np.uint64(inner), [tc.count for tc in tiles], axis=0)
     if inner == 0:
         return prefixes, 0
-    segments = [(tc.count, _tile_stream(tc, t, seed)) for tc in tiles]
+    segments = [(tc.count, Stream(seed, DOMAIN_TILE, (tc.tile_row << t) | tc.tile_col))
+                for tc in tiles]
     bits, used = _emit_general(comp, inner, segments)
     bits |= prefixes
     return bits, used
 
 
-def _distinct_tile(
-    comp, tiles: list[TileCount], k: int, t: int, seed: int
-) -> tuple[np.ndarray, int]:
-    """The one tile in `tiles` as distinct edges, resampled from its stream until full.
-
-    Each round draws as many edges as cells are missing, continuing the
-    tile's stream.  Raises DistinctFillStalled after MAX_STALLED_ROUNDS
-    rounds in a row that add no new cell.
-    """
-    (tc,) = tiles
-    inner = k - t
-    if inner == 0:
-        return _batch(comp, tiles, k, t, seed)
-    stream = _tile_stream(tc, t, seed)
-    edges = np.empty((0, 2), dtype=np.uint64)
-    samples = stalled = 0
-    while len(edges) < tc.count:
-        if stalled == MAX_STALLED_ROUNDS:
-            raise DistinctFillStalled(
-                f"tile ({tc.tile_row}, {tc.tile_col}) found no new cell in "
-                f"{MAX_STALLED_ROUNDS} rounds at {len(edges)} of {tc.count} distinct edges"
-            )
-        more, extra = _emit(comp, inner, tc.count - len(edges), stream)
-        samples += extra
-        have = len(edges)
-        edges = dedup_local(np.concatenate([edges, more]))
-        stalled = stalled + 1 if len(edges) == have else 0
-    edges |= np.array([tc.tile_row, tc.tile_col], dtype=np.uint64) << np.uint64(inner)
-    return edges, samples
-
-
 def generate_tile(
     tile: TileCount | tuple[int, int],
     count: int,
-    params: RmatParams,
     table: FragmentTable,
     k: int,
     t: int,
     seed: int,
-    distinct: bool = False,
 ) -> np.ndarray:
     """Generate `count` edges inside one tile.
 
     The tile prefix fixes the top t bits of both endpoints; the remaining
     k - t bits come from the standard emission loop, whose self-similar
     recursion makes the conditional in-tile distribution equal to a
-    2^(k-t)-node R-MAT process.  With distinct=True, duplicate cells are
-    resampled from the same stream until all edges are distinct.
+    2^(k-t)-node R-MAT process.
     """
     if isinstance(tile, TileCount):
         row, col = tile.tile_row, tile.tile_col
@@ -274,28 +209,29 @@ def generate_tile(
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     tc = TileCount(tile_row=row, tile_col=col, count=count)
-    total, units = _units(_compile(table), [tc], k, t, seed, distinct)
+    total, units = _units(_compile(table), [tc], k, t, seed)
     return _collect(total, _stream_units(len(units), units, 1))[0]
 
 
-def _part_stream(plan, params, table, part, distinct, threads) -> tuple[list, int, Iterator]:
-    """The part's tile counts, their edge total, and the stream of its units."""
+def _part_stream(plan, params, table, part, threads) -> tuple[list, int, Iterator]:
+    """The part's tile counts, their edge total, and the stream of its batches."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    _check_model(table, params)
     tiles = plan_tiles(plan, params, part)
-    total, units = _units(_compile(table), tiles, plan.k, plan.t, plan.seed, distinct)
+    total, units = _units(_compile(table), tiles, plan.k, plan.t, plan.seed)
     return tiles, total, _stream_units(len(units), units, threads)
 
 
 def generate_part_stream(
     plan: PartitionPlan, params: RmatParams, table: FragmentTable,
-    part: int = 0, distinct: bool = False, threads: int = 1,
+    part: int = 0, threads: int = 1,
 ) -> Iterator[tuple[np.ndarray, int]]:
-    """generate_part's (edges, samples), one unit at a time; plans the tiles first.
+    """generate_part's (edges, samples), one batch of tiles at a time; plans the tiles first.
 
-    A unit is a batch of tiles that holds about a block, or one larger tile.
+    A batch holds about a block of edges, or one larger tile.
     """
-    return _part_stream(plan, params, table, part, distinct, threads)[2]
+    return _part_stream(plan, params, table, part, threads)[2]
 
 
 def generate_part(
@@ -303,15 +239,14 @@ def generate_part(
     params: RmatParams,
     table: FragmentTable,
     part: int = 0,
-    distinct: bool = False,
     threads: int = 1,
 ) -> tuple[np.ndarray, list[TileCount], int]:
     """All edges of one part, in tile order.
 
     Returns (edges, tile counts, alias samples consumed).  The table is
-    compiled once and reused across tiles.  Tile batches, or tiles in
-    distinct mode, run on up to `threads` threads without changing the bytes.
+    compiled once and reused across tiles.  Tile batches run on up to
+    `threads` threads without changing the bytes.
     """
-    tiles, total, units = _part_stream(plan, params, table, part, distinct, threads)
+    tiles, total, units = _part_stream(plan, params, table, part, threads)
     edges, samples = _collect(total, units)
     return edges, tiles, samples

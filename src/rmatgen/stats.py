@@ -53,13 +53,17 @@ class CellHistogram:
             raise ValueError(f"counts must have length 4**{self.k}, got {self.counts.shape}")
 
 
-def cell_histogram(edges: np.ndarray, k: int) -> CellHistogram:
-    """Histogram an (m, 2) edge array over the 4^k adjacency cells."""
+def _cells(edges: np.ndarray, k: int) -> np.ndarray:
+    """The cell index u*2^k + v of each edge of an (m, 2) array."""
     _check_enum_k(k)
     if len(edges) and int(edges.max()) >> k:
         raise ValueError(f"edge endpoints exceed 2**{k} - 1")
-    flat = ((edges[:, 0].astype(np.int64) << k) | edges[:, 1].astype(np.int64)).astype(np.intp)
-    counts = np.bincount(flat, minlength=4**k)
+    return ((edges[:, 0].astype(np.int64) << k) | edges[:, 1].astype(np.int64)).astype(np.intp)
+
+
+def cell_histogram(edges: np.ndarray, k: int) -> CellHistogram:
+    """Histogram an (m, 2) edge array over the 4^k adjacency cells."""
+    counts = np.bincount(_cells(edges, k), minlength=4**k)
     return CellHistogram(k=k, counts=counts, total=int(counts.sum()))
 
 

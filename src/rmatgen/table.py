@@ -23,8 +23,10 @@ from .params import RmatParams
 
 DEFAULT_DEPTH_CAP = 62
 
-#: Fixed tables above this depth would not be materializable (4**17 entries).
-MAX_FIXED_DEPTH = 16
+#: Both table kinds are bounded in entries before allocating: a fixed table
+#: with its compiled arrays takes about 140 B per entry, a variable build 340 B.
+MAX_TABLE_ENTRIES = 4**11
+MAX_FIXED_DEPTH = (MAX_TABLE_ENTRIES.bit_length() - 1) // 2
 
 
 class DepthOutOfRange(ValueError):
@@ -35,8 +37,16 @@ class SizeLimitTooSmall(ValueError):
     """Variable tables need room for at least one expansion (4 entries)."""
 
 
+class TableTooLarge(ValueError):
+    """Variable tables are bounded by MAX_TABLE_ENTRIES entries."""
+
+
 class NoiseOutOfRange(ValueError):
     """Perturbation level must lie in [0, 1)."""
+
+
+class TableModelMismatch(ValueError):
+    """A table built for one model's quadrants was asked to drive another's."""
 
 
 @dataclass(frozen=True)
@@ -76,6 +86,7 @@ class FragmentTable:
     max_depth: int
     kind: str  # "fixed" | "variable"
     mean_depth: float  # sum(p * depth): expected bits per sample, per side
+    quadrants: tuple[float, float, float, float]  # of the model it was built for
 
     def __len__(self) -> int:
         return int(self.probs.shape[0])
@@ -92,7 +103,12 @@ class FragmentTable:
         return (self.entry(i) for i in range(len(self)))
 
 
-def _assemble(row, col, dep, prob, kind: str) -> FragmentTable:
+def _check_model(table: FragmentTable, params: RmatParams) -> None:
+    if table.quadrants != params.quadrants:
+        raise TableModelMismatch(f"table built for {table.quadrants}, not {params.quadrants}")
+
+
+def _assemble(row, col, dep, prob, kind: str, quadrants) -> FragmentTable:
     dep = dep.astype(np.uint64)
     pad = (1 << (len(prob) - 1).bit_length()) - len(prob)
     table = FragmentTable(
@@ -104,6 +120,7 @@ def _assemble(row, col, dep, prob, kind: str) -> FragmentTable:
         max_depth=int(dep.max()),
         kind=kind,
         mean_depth=float(np.dot(prob, dep.astype(np.float64))),
+        quadrants=quadrants,
     )
     for arr in (table.row_bits, table.col_bits, table.depths, table.probs):
         arr.flags.writeable = False
@@ -132,7 +149,7 @@ def build_fixed_table(params: RmatParams, depth: int) -> FragmentTable:
         col = (col << one) | (digit & one)
         probs *= quads[digit]
     dep = np.full(n, depth, dtype=np.uint64)
-    return _assemble(row, col, dep, probs, "fixed")
+    return _assemble(row, col, dep, probs, "fixed", params.quadrants)
 
 
 def build_variable_table(
@@ -155,6 +172,8 @@ def build_variable_table(
     """
     if size_limit < 4:
         raise SizeLimitTooSmall(f"size_limit must be >= 4, got {size_limit}")
+    if size_limit > MAX_TABLE_ENTRIES:
+        raise TableTooLarge(f"size_limit must be <= {MAX_TABLE_ENTRIES}, got {size_limit}")
     if not 1 <= depth_cap <= DEFAULT_DEPTH_CAP:
         raise DepthOutOfRange(f"depth_cap must be in [1, {DEFAULT_DEPTH_CAP}], got {depth_cap}")
 
@@ -189,7 +208,7 @@ def build_variable_table(
     col = np.fromiter((e[4] for e in final), dtype=np.uint64, count=n)
     dep = np.fromiter((e[1] for e in final), dtype=np.uint64, count=n)
     probs = np.fromiter((-e[0] for e in final), dtype=np.float64, count=n)
-    return _assemble(row, col, dep, probs, "variable")
+    return _assemble(row, col, dep, probs, "variable", params.quadrants)
 
 
 @dataclass(frozen=True)
@@ -234,7 +253,9 @@ def perturb_table(table: FragmentTable, noise_level: float, rng) -> FragmentTabl
     factors = 1.0 - noise_level + 2.0 * noise_level * rng.random(len(table))
     probs = table.probs * factors
     probs /= probs.sum()
-    return _assemble(table.row_bits, table.col_bits, table.depths, probs, table.kind)
+    return _assemble(
+        table.row_bits, table.col_bits, table.depths, probs, table.kind, table.quadrants
+    )
 
 
 def dump_table(table: FragmentTable) -> Iterator[str]:

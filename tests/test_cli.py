@@ -2,6 +2,7 @@ import hashlib
 import io
 import os
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -246,6 +247,28 @@ def test_verify_rejects_out_of_range_noise(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_verify_perturbed_table_keeps_its_model(capsys):
+    # perturb_table carries the table's model over, so verify's verdict is
+    # a fail (exit 1), not a model mismatch (exit 2).
+    rc = main(["verify", "-k", "4", "-m", "200000", "--seed", "9",
+               "--size", "1021", "--noise", "0.3"])
+    match = VERIFY_RE.search(capsys.readouterr().out)
+    assert rc == 1 and match and match.group(2) == "fail"
+
+
+def test_verify_without_edges_exits_2(capsys):
+    assert main(["verify", "-k", "4", "-m", "0"]) == 2
+    assert "pooling all 256 cells still cannot reach 5.0 expected" in capsys.readouterr().err
+
+
+def test_verify_peak_memory_flat_in_m(capsys):
+    # verify sums one histogram unit by unit: 16 blocks must peak within
+    # 1.25x of 4 blocks.
+    peaks = [traced_peak(["verify", "-k", "4", "-m", str(n * DEFAULT_BLOCK_SIZE),
+                          "--threads", "1"]) for n in (4, 16)]
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
 def test_verify_rejects_unenumerable_k(capsys):
     rc = main(["verify", "-k", "20", "-m", "1000"])
     assert rc == 2
@@ -291,6 +314,17 @@ def test_table_dump_matches_library(capsys):
 def test_inconsistent_options_exit_2(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("table", [["--table", "fixed", "--depth", "12"],
+                                   ["--size", str(1 << 40)]], ids=["depth", "size"])
+def test_oversized_table_exits_2_before_building(tmp_path, capsys, table):
+    t0 = time.perf_counter()
+    rc = main(["generate", "-k", "20", "-m", "10", *table, "-o", str(tmp_path / "x.bin")])
+    assert rc == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_required_option_is_usage_error(capsys):

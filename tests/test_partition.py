@@ -12,16 +12,16 @@ import rmatgen.generator as generator_mod
 import rmatgen.partition as partition_mod
 from rmatgen import (
     DEFAULT_BLOCK_SIZE,
-    MAX_STALLED_ROUNDS,
-    CountOverflowsTile,
-    DistinctFillStalled,
+    GenConfig,
     PartitionPlan,
+    TableModelMismatch,
     TileCount,
     cell_histogram,
     chi_square,
     default_plan,
     exact_cell_probs,
     generate_part,
+    generate_part_stream,
     generate_tile,
     plan_tiles,
     pool_small_cells,
@@ -188,7 +188,7 @@ def test_partition_plan_rejects_bad_geometry(kwargs):
 
 def test_tile_fully_resolved_prefix_repeats_one_cell():
     table = variable_table(G500, 3, 253)
-    edges = generate_tile((5, 2), 7, params_for(G500, 3), table, k=3, t=3, seed=9)
+    edges = generate_tile((5, 2), 7, table, k=3, t=3, seed=9)
     assert edges.tolist() == [[5, 2]] * 7
 
 
@@ -196,7 +196,7 @@ def test_tile_empty_prefix_matches_exact_distribution():
     k, m = 3, 2 * 10**5
     params = params_for(G500, k)
     table = variable_table(G500, k, 253)
-    edges = generate_tile((0, 0), m, params, table, k=k, t=0, seed=21)
+    edges = generate_tile((0, 0), m, table, k=k, t=0, seed=21)
     result = chi_square(cell_histogram(edges, k), exact_cell_probs(params, k))
     assert result.passed, f"stat={result.statistic:.1f} thr={result.threshold:.1f}"
 
@@ -204,10 +204,9 @@ def test_tile_empty_prefix_matches_exact_distribution():
 def test_tile_edges_stay_inside_tile():
     k, t = 8, 3
     table = variable_table(G500, k, 253)
-    params = params_for(G500, k)
     inner = k - t
     for row, col in [(0, 0), (3, 7), (7, 1)]:
-        edges = generate_tile((row, col), 2000, params, table, k=k, t=t, seed=14)
+        edges = generate_tile((row, col), 2000, table, k=k, t=t, seed=14)
         assert len(edges) == 2000
         assert np.all(edges[:, 0] >> inner == row)
         assert np.all(edges[:, 1] >> inner == col)
@@ -218,7 +217,7 @@ def test_tile_conditional_distribution_is_self_similar():
     k, t, count = 5, 2, 60000
     inner = k - t
     table = variable_table(G500, k, 253)
-    edges = generate_tile((2, 1), count, params_for(G500, k), table, k=k, t=t, seed=8)
+    edges = generate_tile((2, 1), count, table, k=k, t=t, seed=8)
     mask = np.uint64((1 << inner) - 1)
     local = np.column_stack([edges[:, 0] & mask, edges[:, 1] & mask])
     inner_params = params_for(G500, inner)
@@ -229,78 +228,22 @@ def test_tile_conditional_distribution_is_self_similar():
 def test_tile_deterministic_and_tile_keyed():
     k, t = 8, 2
     table = variable_table(G500, k, 253)
-    params = params_for(G500, k)
-    a = generate_tile((1, 2), 500, params, table, k=k, t=t, seed=3)
-    b = generate_tile((1, 2), 500, params, table, k=k, t=t, seed=3)
-    c = generate_tile((2, 1), 500, params, table, k=k, t=t, seed=3)
+    a = generate_tile((1, 2), 500, table, k=k, t=t, seed=3)
+    b = generate_tile((1, 2), 500, table, k=k, t=t, seed=3)
+    c = generate_tile((2, 1), 500, table, k=k, t=t, seed=3)
     mask = np.uint64((1 << (k - t)) - 1)
     assert np.array_equal(a, b)
     assert not np.array_equal(a & mask, c & mask)
 
 
-def test_tile_distinct_mode_fills_every_cell():
-    k, t = 4, 2
-    table = variable_table(G500, k, 253)
-    edges = generate_tile((1, 3), 16, params_for(G500, k), table, k=k, t=t, seed=7,
-                          distinct=True)
-    cells = packed(edges, k)
-    assert len(np.unique(cells)) == 16
-
-
-def test_tile_distinct_mode_has_no_duplicates():
-    k, t = 8, 4
-    table = variable_table(G500, k, 253)
-    edges = generate_tile((5, 5), 200, params_for(G500, k), table, k=k, t=t, seed=2,
-                          distinct=True)
-    assert len(edges) == 200
-    assert len(np.unique(packed(edges, k))) == 200
-
-
-def test_tile_distinct_mode_rejects_overflow():
-    table = variable_table(G500, 4, 253)
-    params = params_for(G500, 4)
-    with pytest.raises(CountOverflowsTile):
-        generate_tile((0, 0), 17, params, table, k=4, t=2, seed=1, distinct=True)
-    with pytest.raises(CountOverflowsTile):
-        generate_tile((3, 3), 2, params, table, k=4, t=4, seed=1, distinct=True)
-    with pytest.raises(CountOverflowsTile):  # before allocating 2^66 bytes
-        generate_tile((0, 0), 1 << 62, params, table, k=4, t=2, seed=1, distinct=True)
-
-
-def test_tile_distinct_mode_stalls_on_unreachable_cells():
-    # The rarest of SKEWED's 64 cells at k=3 has probability 0.025^3, so
-    # filling all of them takes tens of thousands of rounds; the bound
-    # gives up after MAX_STALLED_ROUNDS fruitless ones, in well under 1 s.
-    k = 3
-    table = fixed_table(SKEWED, k, 3)
-    with pytest.raises(DistinctFillStalled, match=f"{MAX_STALLED_ROUNDS} rounds"):
-        generate_tile((0, 0), 4**k, params_for(SKEWED, k), table, k=k, t=0, seed=1,
-                      distinct=True)
-    assert issubclass(DistinctFillStalled, ValueError)  # the CLI's exit 2
-
-
-def test_tile_distinct_mode_bound_counts_consecutive_rounds(monkeypatch):
-    # The last cell of this tile arrives after 90 fruitless rounds in a
-    # row, so a bound of 90 stops it one round early.
-    k, t = 4, 2
-    table = variable_table(G500, k, 253)
-    args = ((1, 3), 16, params_for(G500, k), table)
-    monkeypatch.setattr(partition_mod, "MAX_STALLED_ROUNDS", 90)
-    with pytest.raises(DistinctFillStalled, match="at 15 of 16"):
-        generate_tile(*args, k=k, t=t, seed=7, distinct=True)
-    monkeypatch.setattr(partition_mod, "MAX_STALLED_ROUNDS", 91)
-    assert len(generate_tile(*args, k=k, t=t, seed=7, distinct=True)) == 16
-
-
 def test_tile_validation_errors():
     table = variable_table(G500, 4, 253)
-    params = params_for(G500, 4)
     with pytest.raises(ValueError):
-        generate_tile((0, 0), 1, params, table, k=4, t=5, seed=0)
+        generate_tile((0, 0), 1, table, k=4, t=5, seed=0)
     with pytest.raises(ValueError):
-        generate_tile((4, 0), 1, params, table, k=4, t=2, seed=0)
+        generate_tile((4, 0), 1, table, k=4, t=2, seed=0)
     with pytest.raises(ValueError):
-        generate_tile((0, 0), -1, params, table, k=4, t=2, seed=0)
+        generate_tile((0, 0), -1, table, k=4, t=2, seed=0)
 
 
 # --------------------------------------------------------------------- parts
@@ -330,17 +273,6 @@ def test_generate_part_union_equals_single_part():
     assert np.array_equal(packed(whole, k), packed(merged, k))
 
 
-def test_generate_part_distinct_is_globally_duplicate_free():
-    # tiles partition the matrix, so per-tile dedup is global dedup
-    k, t, m = 8, 2, 3000
-    params = params_for(G500, k)
-    table = variable_table(G500, k, 253)
-    plan = default_plan(k=k, t=t, m=m, seed=12)
-    edges, _, _ = generate_part(plan, params, table, distinct=True)
-    assert len(edges) == m
-    assert len(np.unique(packed(edges, k))) == m
-
-
 def test_generate_part_empty_plan():
     params = params_for(G500, 6)
     table = variable_table(G500, 6, 253)
@@ -360,6 +292,26 @@ def test_part_outside_plan_rejected(part):
         plan_tiles(plan, params, part)
     with pytest.raises(ValueError, match=r"part must be in \[0, 2\), got"):
         generate_part(plan, params, variable_table(G500, 8, 253), part=part)
+
+
+def test_table_for_another_model_rejected(monkeypatch):
+    # A G500 table must not silently drive SKEWED counts: every entry point
+    # rejects the pair before it plans a tile or emits an edge.
+    def unreachable(*args):
+        raise AssertionError("planned or emitted with a mismatched table")
+
+    monkeypatch.setattr(partition_mod, "plan_tiles", unreachable)
+    monkeypatch.setattr(generator_mod, "_emit", unreachable)
+    k = 8
+    params, table = params_for(SKEWED, k), variable_table(G500, k, 253)
+    plan = default_plan(k, 2, 1000, 1)
+    with pytest.raises(TableModelMismatch, match="table built for"):
+        GenConfig(params=params, table=table, edge_count=1000, seed=1)
+    with pytest.raises(TableModelMismatch):
+        generate_part(plan, params, table)
+    with pytest.raises(TableModelMismatch):
+        generate_part_stream(plan, params, table)
+    assert issubclass(TableModelMismatch, ValueError)  # the CLI's exit 2
 
 
 @pytest.mark.parametrize("threads", [0, -3])
@@ -399,7 +351,7 @@ def test_generate_part_equals_per_tile_generation(kind, k, t, m, parts, part):
     table = fixed_table(G500, k, 5) if kind == "fixed" else variable_table(G500, k, 253)
     plan = default_plan(k=k, t=t, m=m, seed=5, parts=parts)
     edges, tiles, _ = generate_part(plan, params, table, part=part)
-    each = [generate_tile(tc, tc.count, params, table, k=k, t=t, seed=5) for tc in tiles]
+    each = [generate_tile(tc, tc.count, table, k=k, t=t, seed=5) for tc in tiles]
     assert edges.shape == (sum(tc.count for tc in tiles), 2)
     assert np.array_equal(edges, np.concatenate(each))
 
@@ -424,54 +376,17 @@ def test_generate_part_bytes_pinned(kind, samples, digest):
 
 
 @pytest.mark.parametrize(
-    "kind,samples,digest",
-    [
-        ("variable", 13421, "77042bb2fd752bfefda9317461c61414"),
-        ("fixed", 22238, "d465ca9a6f765e603147258c2d6269e0"),
-    ],
-    ids=["variable", "fixed"],
+    "samples,digest",
+    [(3600000, "fe40791098d8d31f53e15d7f5245e61a")],
+    ids=["fixed"],
 )
-def test_generate_part_distinct_bytes_pinned(kind, samples, digest, monkeypatch):
-    # The fixed row was recorded while every tile still built its own
-    # Generator.  The tiles of this plan take about three top-up rounds
-    # each, and every one resumes its tile's stream where the previous
-    # round stopped drawing.
-    rounds = []
-    original = partition_mod._emit
-
-    def counting(comp, k, count, stream):
-        rounds.append(stream.pos)
-        return original(comp, k, count, stream)
-
-    monkeypatch.setattr(partition_mod, "_emit", counting)
-    k = 9
-    table = fixed_table(G500, k, 3) if kind == "fixed" else variable_table(G500, k, 253)
-    plan = default_plan(k=k, t=3, m=6000, seed=31)
-    edges, tiles, used = generate_part(plan, params_for(G500, k), table, distinct=True)
-    got = hashlib.blake2b(edges.astype("<u8").tobytes(), digest_size=16).hexdigest()
-    assert (len(edges), used, got) == (6000, samples, digest)
-    resumed = [pos for pos in rounds if pos]
-    assert len(resumed) > 2 * sum(1 for tc in tiles if tc.count)
-    assert any(pos % 4 for pos in resumed)
-
-
-@pytest.mark.parametrize(
-    "distinct,samples,digest",
-    [
-        (False, 3600000, "fe40791098d8d31f53e15d7f5245e61a"),
-        (True, 3604014, "485fdb0a3d47981be2ff7db5448a67a3"),
-    ],
-    ids=["fixed", "fixed-distinct"],
-)
-def test_generate_part_depth1_bytes_pinned(distinct, samples, digest):
-    # Depth 1 at k - t = 18 puts 18 fragments under every edge.  Plain mode
-    # fills tile batches from the word stream.  Distinct mode runs the fixed
-    # kernel on every round, and its draw size sets where a tile's next
-    # round resumes the tile's stream.
+def test_generate_part_depth1_bytes_pinned(samples, digest):
+    # Depth 1 at k - t = 18 puts 18 fragments under every edge, and tile
+    # batches fill from the word stream.
     k = 20
     plan = default_plan(k=k, t=2, m=200_000, seed=1)
     table = fixed_table(G500, k, 1)
-    edges, _, used = generate_part(plan, params_for(G500, k), table, distinct=distinct)
+    edges, _, used = generate_part(plan, params_for(G500, k), table)
     got = hashlib.blake2b(edges.astype("<u8").tobytes(), digest_size=16).hexdigest()
     assert (len(edges), used, got) == (200_000, samples, digest)
 
@@ -498,10 +413,9 @@ def test_generate_part_batches_close_at_one_block(monkeypatch):
 # ------------------------------------------------------------------- threads
 
 
-def part_inputs(kind, distinct):
-    # Plain mode: 5 tile batches of this plan are the units.  Distinct
-    # mode: each of the 62 non-empty tiles is one, over several rounds.
-    k, m = (9, 6000) if distinct else (12, 300_000)
+def part_inputs(kind):
+    # 5 tile batches of this plan are the units.
+    k, m = 12, 300_000
     table = fixed_table(G500, k, 3) if kind == "fixed" else variable_table(G500, k, 253)
     return default_plan(k=k, t=3, m=m, seed=31), params_for(G500, k), table
 
@@ -514,15 +428,13 @@ def test_generate_part_thread_count_invariance(threads, monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for distinct in (False, True):
-            for kind in ("variable", "fixed"):
-                plan, params, table = part_inputs(kind, distinct)
-                ref, tiles, used = generate_part(plan, params, table, distinct=distinct)
-                got, _, got_used = generate_part(plan, params, table, distinct=distinct,
-                                                 threads=threads)
-                assert got.shape == (plan.m, 2)
-                assert got_used == used
-                assert (got == ref).all()
+        for kind in ("variable", "fixed"):
+            plan, params, table = part_inputs(kind)
+            ref, tiles, used = generate_part(plan, params, table)
+            got, _, got_used = generate_part(plan, params, table, threads=threads)
+            assert got.shape == (plan.m, 2)
+            assert got_used == used
+            assert (got == ref).all()
     finally:
         sys.setswitchinterval(interval)
 
@@ -537,14 +449,15 @@ def test_generate_part_pool_bounded_by_units(monkeypatch):
 
     monkeypatch.setattr(generator_mod, "ThreadPoolExecutor", Recorder)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    plan, params, table = part_inputs("variable", False)
+    plan, params, table = part_inputs("variable")
     tiles = plan_tiles(plan, params)
-    _, units = partition_mod._units(None, tiles, plan.k, plan.t, plan.seed, False)
-    # 64 threads asked for: 5 batches bound the pool; in distinct mode the
-    # 8 cores do; a plan that fits one batch starts no pool at all.
+    _, units = partition_mod._units(None, tiles, plan.k, plan.t, plan.seed)
+    # 64 threads asked for: 5 batches bound the pool; with more than 8
+    # batches the 8 cores do; a plan that fits one batch starts no pool at all.
     generate_part(plan, params, table, threads=64)
     assert sizes == [len(units)] == [5]
-    generate_part(*part_inputs("variable", True), distinct=True, threads=64)
+    large = default_plan(k=12, t=3, m=1_000_000, seed=31)
+    generate_part(large, params, table, threads=64)
     assert sizes == [5, 8]
     small = default_plan(k=12, t=3, m=DEFAULT_BLOCK_SIZE - 1, seed=31)
     generate_part(small, params, table, threads=64)
@@ -553,7 +466,7 @@ def test_generate_part_pool_bounded_by_units(monkeypatch):
 
 def test_generate_part_error_propagates_from_threads(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    plan, params, table = part_inputs("variable", False)
+    plan, params, table = part_inputs("variable")
     calls = itertools.count()
     emit = partition_mod._emit_general
 

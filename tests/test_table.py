@@ -6,9 +6,11 @@ import pytest
 from rmatgen import (
     DEFAULT_DEPTH_CAP,
     MAX_FIXED_DEPTH,
+    MAX_TABLE_ENTRIES,
     DepthOutOfRange,
     NoiseOutOfRange,
     SizeLimitTooSmall,
+    TableTooLarge,
     build_fixed_table,
     build_variable_table,
     dump_table,
@@ -89,7 +91,7 @@ def test_fixed_entries_in_interleaved_order():
     assert len(codes) == 64
 
 
-@pytest.mark.parametrize("depth", [0, -1, MAX_FIXED_DEPTH + 1])
+@pytest.mark.parametrize("depth", [0, -1, MAX_FIXED_DEPTH + 1, 17])  # 17: 4**17 entries
 def test_fixed_depth_bounds(depth):
     with pytest.raises(DepthOutOfRange):
         build_fixed_table(params_for(G500, 4), depth)
@@ -140,6 +142,13 @@ def test_variable_size_one_mod_three():
 def test_size_limit_too_small():
     with pytest.raises(SizeLimitTooSmall):
         build_variable_table(params_for(G500, 4), 3)
+
+
+def test_size_limit_capped_before_building():
+    # One entry bound serves both kinds: the largest fixed table is the cap.
+    assert 4**MAX_FIXED_DEPTH == MAX_TABLE_ENTRIES
+    with pytest.raises(TableTooLarge, match=f"<= {MAX_TABLE_ENTRIES}"):
+        build_variable_table(params_for(G500, 4), MAX_TABLE_ENTRIES + 1)
 
 
 @pytest.mark.parametrize("quads,size", [
@@ -260,6 +269,12 @@ def test_perturb_bounded_and_normalized():
     assert (t2.row_bits == t.row_bits).all()
     assert (t2.col_bits == t.col_bits).all()
     assert (t2.depths == t.depths).all()
+
+
+def test_tables_record_their_model():
+    for table in (fixed_table(SKEWED, 4, 2), variable_table(SKEWED, 4, 253)):
+        assert table.quadrants == params_for(SKEWED, 4).quadrants
+        assert perturb_table(table, 0.3, 7).quadrants == table.quadrants
 
 
 def test_perturb_deterministic_by_seed():
