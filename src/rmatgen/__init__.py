@@ -40,8 +40,10 @@ from .params import (
     validate,
 )
 from .partition import (
+    MAX_PLAN_TILES,
     MAX_TILE_BITS,
     PartitionPlan,
+    PlanTooLarge,
     TileCount,
     default_plan,
     generate_part,
@@ -101,7 +103,7 @@ __all__ = [
     "generate", "generate_result", "generate_stream", "naive_edge", "naive_edges",
     "GRAPH500", "MAX_K", "BadExponent", "NegativeOrZeroWeight", "RmatParams",
     "SumOutOfTolerance", "entropy", "speedup_bound", "validate",
-    "MAX_TILE_BITS", "PartitionPlan", "TileCount",
+    "MAX_PLAN_TILES", "MAX_TILE_BITS", "PartitionPlan", "PlanTooLarge", "TileCount",
     "default_plan", "generate_part", "generate_part_stream", "generate_tile", "plan_tiles",
     "split_quadrant_counts",
     "EdgeOutsideDeclaredTile", "ScrambleKey", "dedup_local",

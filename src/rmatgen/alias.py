@@ -75,21 +75,27 @@ def build_alias(weights) -> AliasTable:
         raise AllZeroWeights("at least one weight must be positive")
 
     n = w.size
-    scaled = w * (n / total)
     threshold = np.ones(n, dtype=np.float64)
     alias = np.arange(n, dtype=np.int64)
+    # The loop reads and writes one bucket at a time.  Memoryviews do that
+    # with plain Python floats and ints, several times faster than numpy
+    # element access; Python floats are IEEE doubles, so every value rounds
+    # exactly as float64 does.  keep[i] is bucket i's threshold, other[i]
+    # its alias.
+    scaled = memoryview(w * (n / total))
+    keep, other = memoryview(threshold), memoryview(alias)
 
     # Ties (scaled weight exactly 1) go to the large list; together with the
     # fixed LIFO order below this makes the table a deterministic function of
     # the weight vector.
-    small = [i for i in range(n) if scaled[i] < 1.0]
-    large = [i for i in range(n) if scaled[i] >= 1.0]
+    small = [i for i, x in enumerate(scaled) if x < 1.0]
+    large = [i for i, x in enumerate(scaled) if x >= 1.0]
 
     while small and large:
         s = small.pop()
         g = large.pop()
-        threshold[s] = scaled[s]
-        alias[s] = g
+        keep[s] = scaled[s]
+        other[s] = g
         # Donate exactly the mass bucket s is missing.
         scaled[g] = (scaled[g] + scaled[s]) - 1.0
         if scaled[g] < 1.0:
@@ -101,8 +107,8 @@ def build_alias(weights) -> AliasTable:
     for rest in (large, small):
         while rest:
             i = rest.pop()
-            threshold[i] = 1.0
-            alias[i] = i
+            keep[i] = 1.0
+            other[i] = i
 
     threshold.flags.writeable = False
     alias.flags.writeable = False

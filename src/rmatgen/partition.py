@@ -38,6 +38,16 @@ from .table import FragmentTable, _check_model
 #: Tile coordinates are packed into one 64-bit stream key as (row << t) | col.
 MAX_TILE_BITS = 31
 
+#: Most tiles one part's plan may list.  plan_tiles holds a Python
+#: TileCount per tile, and a split node per tile besides; past t=6 at
+#: k=20, m=2^22 that work already outweighs the samples it saves.
+MAX_PLAN_TILES = 1 << 20
+
+
+class PlanTooLarge(ValueError):
+    """A part's plan would list more than MAX_PLAN_TILES tiles."""
+
+
 @dataclass(frozen=True)
 class TileCount:
     tile_row: int
@@ -124,11 +134,17 @@ def plan_tiles(plan: PartitionPlan, params: RmatParams, part: int = 0) -> list[T
     splitting counts at each node and pruning subtrees whose tile rows lie
     outside the part's range.  The recursion path is encoded as the
     interleaved digit string with a leading 1 sentinel, so distinct nodes
-    always key distinct streams.
+    always key distinct streams.  A part owning more than MAX_PLAN_TILES
+    tiles raises PlanTooLarge before the walk starts.
     """
     if not 0 <= part < len(plan.owner_rows):
         raise ValueError(f"part must be in [0, {len(plan.owner_rows)}), got {part}")
     lo, hi = plan.owner_rows[part]
+    if (hi - lo) << plan.t > MAX_PLAN_TILES:
+        raise PlanTooLarge(
+            f"plan lists {(hi - lo) << plan.t} tiles, more than {MAX_PLAN_TILES}; "
+            "lower t or split the rows over more parts"
+        )
     out: list[TileCount] = []
 
     def rec(level: int, row0: int, col0: int, code: int, count: int) -> None:

@@ -4,9 +4,12 @@ All three stages are pure functions, so they compose freely with
 blockwise or tile-wise generation.  Mirroring canonicalizes an edge into
 the lower-left triangle and scrambling applies a seed-determined
 permutation to vertex IDs, so structural position no longer correlates
-with ID value; both cost constant work per edge.  dedup_local removes
-repeats within one block or tile by sorting, O(log m) work per edge over
-a batch of m edges.
+with ID value; both cost constant work per edge, and scramble runs its
+rounds in place on one owned copy.  dedup_local removes repeats within
+one block or tile by sorting, O(log m) work per edge over a batch of m
+edges: when both ids pack into one uint64 key, an unstable argsort groups
+equal keys and the least original index in each group is its first
+occurrence, so the result does not depend on the sort being stable.
 """
 
 from __future__ import annotations
@@ -78,20 +81,30 @@ def make_scramble_key(seed: int, k: int) -> ScrambleKey:
 
 
 def scramble(values, key: ScrambleKey):
-    """Apply the key's permutation of [0, 2^k) to an int or uint64 array."""
+    """Apply the key's permutation of [0, 2^k) to an int or uint64 array.
+
+    Works on one owned copy, so the caller's array is never written.
+    """
     k = key.k
     scalar = not isinstance(values, np.ndarray)
-    x = np.asarray(values, dtype=np.uint64)
+    x = np.array(values, dtype=np.uint64)  # owned: the rounds below write it in place
+    tmp = np.empty_like(x)
     mask = np.uint64((1 << k) - 1)
     kk = np.uint64(k)
     for mult, xshift, rot in key.round_keys:
-        x = (x * np.uint64(mult)) & mask  # odd multiplier: invertible mod 2^k
+        np.multiply(x, np.uint64(mult), out=x)  # odd multiplier: invertible mod 2^k
+        np.bitwise_and(x, mask, out=x)
         if xshift:
-            x = x ^ (x >> np.uint64(xshift))
+            np.right_shift(x, np.uint64(xshift), out=tmp)
+            np.bitwise_xor(x, tmp, out=x)
         if rot:
             r = np.uint64(rot)
-            x = ((x << r) | (x >> (kk - r))) & mask
-    return int(x) if scalar else x
+            np.right_shift(x, kk - r, out=tmp)
+            np.left_shift(x, r, out=x)
+            np.bitwise_or(x, tmp, out=x)
+            np.bitwise_and(x, mask, out=x)
+    # x[()] turns a 0-d array into a numpy scalar and leaves others whole.
+    return int(x) if scalar else x[()]
 
 
 def scramble_edges(edges: np.ndarray, key: ScrambleKey) -> np.ndarray:
@@ -106,10 +119,16 @@ def dedup_local(
 ) -> np.ndarray:
     """Drop duplicate edges within one block or tile, keeping first occurrences.
 
-    Order is otherwise preserved.  When row_range/col_range (half-open)
-    are declared, every edge must fall inside them; the ranges exist so a
-    caller deduplicating tile by tile notices edges that leaked into the
-    wrong batch, which would make local dedup unsound globally.
+    Order is otherwise preserved.  When both ids pack into one uint64 key,
+    an unstable argsort groups equal keys and np.minimum.reduceat takes
+    the least original index of each group, which is its first occurrence
+    in whatever order the sort left the group; wider ids go through a
+    stable lexsort instead, where each group starts at its first.
+
+    When row_range/col_range (half-open) are declared, every edge must
+    fall inside them; the ranges exist so a caller deduplicating tile by
+    tile notices edges that leaked into the wrong batch, which would make
+    local dedup unsound globally.
     """
     if row_range is not None and len(edges):
         lo, hi = row_range
@@ -124,9 +143,15 @@ def dedup_local(
     u, v = edges[:, 0], edges[:, 1]
     vbits = int(v.max()).bit_length()
     if edges.dtype.kind == "u" and int(u.max()).bit_length() + vbits <= 64:
-        # Both ids fit one uint64 key; np.unique returns first occurrences.
+        # Both ids fit one uint64 key.  An unstable sort is several times
+        # faster than a stable one, and reduceat does not need stability.
         key = (u.astype(np.uint64, copy=False) << np.uint64(vbits)) | v
-        _, first = np.unique(key, return_index=True)
+        order = np.argsort(key)
+        key = key[order]
+        head = np.empty(len(key), dtype=bool)
+        head[0] = True
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+        first = np.minimum.reduceat(order, np.flatnonzero(head))
     else:
         order = np.lexsort((v, u))  # stable, so each run of equal pairs starts at its first
         su, sv = u[order], v[order]

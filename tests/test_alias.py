@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmatgen import AliasTable, alias_sample, build_alias
 from rmatgen.alias import AllZeroWeights, EmptyInput, NegativeWeight
+from conftest import fixed_table, variable_table
 
 
 def test_single_entry_always_selected():
@@ -109,3 +112,30 @@ def test_reconstruction_property(w):
     t = build_alias(w)
     expect = np.asarray(w) / sum(w)
     np.testing.assert_allclose(t.reconstructed_probs(), expect, atol=1e-12)
+
+
+G500 = (0.57, 0.19, 0.19, 0.05)
+TIES = [0.0, 1.0, 1.0, 2.0, 0.0, 1.0, 3.0, 0.0, 0.5, 0.5, 1.0, 2.0, 0.0, 1.0, 1.5, 0.5]
+
+
+@pytest.mark.parametrize(
+    "sampler_of,size,threshold_digest,alias_digest",
+    [
+        (lambda: fixed_table(G500, 20, 8).sampler, 65536,
+         "dc36f070470f74df45057d6e34f26ff6", "94d6d49b0df8e73dc173f3a89900e693"),
+        (lambda: variable_table(G500, 20, 8191).sampler, 8192,
+         "7c8d118e6fe7d31dbcbfba69c33a007d", "5c28e403c92bb3b8142268fb8f10d9da"),
+        (lambda: build_alias(TIES), 16,
+         "c7445d1550cafb2509435e2d1930e652", "4cd642149347d580704fffa797de1eb2"),
+    ],
+    ids=["fixed8", "var8191", "ties"],
+)
+def test_alias_bytes_pinned(sampler_of, size, threshold_digest, alias_digest):
+    # Vose's LIFO order and float64 rounding fix every bucket; zeros and
+    # weights scaled to exactly 1.0 exercise both worklists' tie rule.
+    sampler = sampler_of()
+    digest = lambda a: hashlib.blake2b(a.tobytes(), digest_size=16).hexdigest()
+    assert sampler.size == size
+    assert sampler.threshold.dtype == np.float64 and sampler.alias.dtype == np.int64
+    assert not sampler.threshold.flags.writeable and not sampler.alias.flags.writeable
+    assert (digest(sampler.threshold), digest(sampler.alias)) == (threshold_digest, alias_digest)

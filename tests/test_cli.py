@@ -327,6 +327,41 @@ def test_oversized_table_exits_2_before_building(tmp_path, capsys, table):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_oversized_plan_exits_2_before_planning(tmp_path, capsys):
+    t0 = time.perf_counter()
+    rc = main(["generate", "-k", "30", "-m", "10", "--tiles", "16", "-o", str(tmp_path / "x.bin")])
+    assert rc == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.startswith("error: plan lists")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("tiles", [[], ["--tiles", "2"]], ids=["untiled", "tiled"])
+def test_dedup_beyond_memory_exits_2_before_generating(tmp_path, capsys, monkeypatch, tiles):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("generated edges")
+
+    for name in ("generate_result", "generate_stream", "generate_part", "generate_part_stream"):
+        monkeypatch.setattr(cli_mod, name, unreachable)
+    monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 1000 * cli_mod.DEDUP_BYTES_PER_EDGE - 1)
+    rc = main(["generate", "-k", "8", "-m", "1000", "--dedup", *tiles, "-o", str(tmp_path / "x.bin")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --dedup holds")
+    assert list(tmp_path.iterdir()) == []
+    assert issubclass(cli_mod.DedupTooLarge, ValueError)
+
+
+def test_dedup_within_memory_runs(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 1000 * cli_mod.DEDUP_BYTES_PER_EDGE)
+    rc = main(["generate", "-k", "8", "-m", "1000", "--dedup", "-o", str(tmp_path / "x.bin")])
+    assert rc == 0
+    assert 0 < len(read_binary(tmp_path / "x.bin")) <= 1000
+
+
+def test_physical_memory_is_positive():
+    assert cli_mod._physical_memory() > 0
+
+
 def test_missing_required_option_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "-k", "4"])

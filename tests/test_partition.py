@@ -13,7 +13,9 @@ import rmatgen.partition as partition_mod
 from rmatgen import (
     DEFAULT_BLOCK_SIZE,
     GenConfig,
+    MAX_PLAN_TILES,
     PartitionPlan,
+    PlanTooLarge,
     TableModelMismatch,
     TileCount,
     cell_histogram,
@@ -282,6 +284,31 @@ def test_generate_part_empty_plan():
     assert len(edges) == 0
     assert sum(tc.count for tc in tiles) == 0
     assert samples == 0
+
+
+def test_oversized_plan_rejected_before_planning(monkeypatch):
+    # 2^16 x 2^16 tiles would be 4^16 TileCounts; the bound trips before any split.
+    def unreachable(*args):
+        raise AssertionError("planned an over-limit plan")
+
+    monkeypatch.setattr(partition_mod, "split_quadrant_counts", unreachable)
+    plan = default_plan(k=30, t=16, m=10, seed=1)
+    with pytest.raises(PlanTooLarge, match="tiles"):
+        plan_tiles(plan, params_for(G500, 30))
+    assert MAX_PLAN_TILES == 1 << 20
+    assert issubclass(PlanTooLarge, ValueError)
+
+
+@pytest.mark.parametrize("t,parts,ok", [(2, 1, True), (3, 1, False), (3, 2, False), (3, 4, True)])
+def test_plan_bound_counts_owned_tiles(monkeypatch, t, parts, ok):
+    # A part lists (owned rows) << t tiles; the bound applies to that count.
+    monkeypatch.setattr(partition_mod, "MAX_PLAN_TILES", 16)
+    plan = default_plan(k=8, t=t, m=100, seed=1, parts=parts)
+    if ok:
+        assert len(plan_tiles(plan, params_for(G500, 8))) == 16
+    else:
+        with pytest.raises(PlanTooLarge):
+            plan_tiles(plan, params_for(G500, 8))
 
 
 @pytest.mark.parametrize("part", [-1, 2])

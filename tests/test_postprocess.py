@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -289,3 +291,84 @@ def test_dedup_range_checks_hold_on_both_paths(base):
         dedup_local(edges_of((base + 4, base + 9), (base + 6, base + 9)), rows, cols)
     with pytest.raises(EdgeOutsideDeclaredTile):
         dedup_local(edges_of((base + 4, base + 9), (base + 5, base + 3)), rows, cols)
+
+
+def first_seen_oracle(edges):
+    first = {}
+    for i, pair in enumerate(map(tuple, edges.tolist())):
+        first.setdefault(pair, i)
+    return edges[sorted(first.values())]
+
+
+def duplicate_heavy(seed, n=4000, span=40):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, span, size=(n, 2), dtype=np.uint64)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        np.repeat(duplicate_heavy(1, n=500, span=1 << 20), 3, axis=0),  # every pair thrice in a row
+        np.tile(duplicate_heavy(2, n=500, span=1 << 20), (4, 1)),  # every pair repeats, far apart
+        np.full((1000, 2), 7, dtype=np.uint64),  # all rows equal
+        np.full((1000, 2), (1 << 32) - 1, dtype=np.uint64),  # all equal at the widest key
+        edges_of((3, 9)),  # one row
+        duplicate_heavy(3)[::-1],  # reversed (non-contiguous) duplicate-heavy order
+        np.sort(duplicate_heavy(4), axis=0)[::-1].copy(),  # runs of equal rows, descending
+    ],
+    ids=["repeat", "tile", "all-equal", "all-equal-wide", "one-row", "reversed", "descending"],
+)
+def test_dedup_matches_first_seen_oracle(edges):
+    # The least index in each run of equal keys is the first occurrence,
+    # whatever order an unstable sort leaves the run in.
+    got = dedup_local(edges)
+    assert got.dtype == edges.dtype
+    assert np.array_equal(got, first_seen_oracle(edges))
+
+
+def test_scramble_leaves_input_unchanged():
+    key = make_scramble_key(4, 16)
+    values = np.arange(0, 1 << 16, 3, dtype=np.uint64)
+    before = values.copy()
+    out = scramble(values, key)
+    assert np.array_equal(values, before)
+    assert not np.shares_memory(out, values)
+    edges = duplicate_heavy(5, span=1 << 16)
+    before = edges.copy()
+    scramble_edges(edges, key)
+    assert np.array_equal(edges, before)
+
+
+def test_scramble_column_view_matches_contiguous_copy():
+    key = make_scramble_key(6, 20)
+    edges = duplicate_heavy(7, span=1 << 20)
+    for view in (edges[:, 0], edges[:, 1], edges[::-1], edges[::3, ::-1]):
+        assert not view.flags.c_contiguous
+        assert np.array_equal(scramble(view, key), scramble(view.copy(), key))
+
+
+@pytest.mark.parametrize("k", [1, 13])
+def test_scramble_scalar_kinds(k):
+    key = make_scramble_key(9, k)
+    vec = scramble(np.arange(1 << k, dtype=np.uint64), key)
+    for v in (0, (1 << k) - 1):
+        as_int = scramble(v, key)
+        assert isinstance(as_int, int) and as_int == int(vec[v])
+        assert isinstance(scramble(np.uint64(v), key), int)
+        zero_d = scramble(np.array(v, dtype=np.uint64), key)
+        assert np.ndim(zero_d) == 0 and int(zero_d) == as_int
+
+
+@pytest.mark.parametrize(
+    "k,seed,digest",
+    [
+        (1, 5, "b2667d5eae04ed669d89331afa957949"),
+        (16, 2, "89523f5fa4fdcea171ff31c3c82f1777"),
+        (40, 7, "f304151a6a6ddd12b941a6029494ab0c"),
+        (62, 41, "102c9e7cc104c878a70648d7878ac196"),
+    ],
+)
+def test_scramble_bytes_pinned(k, seed, digest):
+    values = np.random.default_rng(k).integers(0, 1 << k, size=4096, dtype=np.uint64)
+    out = scramble(values, make_scramble_key(seed, k))
+    assert hashlib.blake2b(out.tobytes(), digest_size=16).hexdigest() == digest
