@@ -17,7 +17,9 @@ generator's state, about 2-4 us on the same host:
 
 - A `Stream` is the handle the kernels take: the stream's key plus the
   offset of the next word to draw.  Its draws give the same words as one
-  draw of the same total from `keyed_stream`, however they are cut.
+  draw of the same total from `keyed_stream`, however they are cut.  It
+  also holds the word-stream kernel's carry, so one stream's edges can be
+  made in pieces, by any threads in turn.
 - Resuming at word p sets the counter to p // 4 with an empty buffer and
   discards p % 4 words, because numpy's Philox steps the counter before
   it fills each 4-word buffer.
@@ -85,13 +87,19 @@ def rekeyed(seed: int, domain: int, payload: int) -> np.random.Generator:
 
 
 class Stream:
-    """Handle on one keyed stream: its Philox key and the next word to draw."""
+    """Handle on one keyed stream: its Philox key and the next word to draw.
 
-    __slots__ = ("key", "pos")
+    carry is set by the word-stream kernel when it stops inside a fragment:
+    the fragment drawn at `pos` still has that many low bits to emit, and
+    the next call on this stream starts with them.
+    """
+
+    __slots__ = ("key", "pos", "carry")
 
     def __init__(self, seed: int, domain: int, payload: int) -> None:
         self.key = _key(seed, domain, payload)
         self.pos = 0
+        self.carry = 0
 
     def words(self, n: int) -> np.ndarray:
         """The next n raw 64-bit words of the stream."""

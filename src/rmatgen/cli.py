@@ -14,9 +14,11 @@ loop over it; perfbench/ is the harness whose timings count.
 temp file as it arrives, so memory holds a bounded window of units, not -m
 edges; --dedup is global and holds every edge plus the sort's copies,
 about DEDUP_BYTES_PER_EDGE bytes per edge, which is checked against
-physical memory before any edge is made.  The temp file is renamed into
-place last, so a failed run leaves no file.  Exit codes: 0 on success, 1
-for a failing `verify` verdict, 2 on any error.
+physical memory before the table is built: for all -m edges, or, on one
+part of a tiled run, which is planned first, for the edges of its tiles.
+The temp file is renamed into place last, so a failed run leaves no
+file.  Exit codes: 0 on success, 1 for a failing `verify` verdict, 2 on
+any error.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .generator import DEFAULT_BLOCK_SIZE, GenConfig, generate_result, generate_stream
 from .params import GRAPH500, RmatParams, validate
-from .partition import default_plan, generate_part, generate_part_stream
+from .partition import default_plan, generate_part, generate_part_stream, plan_tiles
 from .postprocess import dedup_local, make_scramble_key, scramble_edges, to_undirected
 from .stats import MAX_ENUM_K, _cells, chi_square, exact_cell_probs, pool_small_cells
 from .table import (
@@ -242,27 +244,33 @@ def run_generate(config: RunConfig) -> int:
             "mirroring skews the marginals unless b == c",
             file=sys.stderr,
         )
-    if config.dedup:
-        # Counts all -m edges, also for one part of a tiled run, which holds fewer.
-        need, have = config.m * DEDUP_BYTES_PER_EDGE, _physical_memory()
-        if need > have:
-            raise DedupTooLarge(
-                f"--dedup holds every edge, about {need} bytes for -m {config.m}, "
-                f"more than the {have} bytes of physical memory; lower -m"
-            )
-    table = _build_table(config, params)
-
     # write_seconds= sums the time inside the file writes, and seconds= is the
     # rest from tile planning on (generation and postprocessing, which without
     # --dedup interleave with the writes unit by unit); table build is outside.
     t0 = time.perf_counter()
+    tiles = None
     if config.tiles is not None:
         plan = default_plan(config.k, config.tiles, config.m, config.seed, config.parts)
-        part = (plan, params, table, config.part)
+        tiles = plan_tiles(plan, params, config.part)
+    if config.dedup:
+        held = config.m if tiles is None else sum(tc.count for tc in tiles)
+        need, have = held * DEDUP_BYTES_PER_EDGE, _physical_memory()
+        if need > have:
+            raise DedupTooLarge(
+                f"--dedup holds every edge, about {need} bytes for {held} edges, "
+                f"more than the {have} bytes of physical memory; lower -m"
+                + ("" if tiles is None else " or run more --parts")
+            )
+    t1 = time.perf_counter()
+    table = _build_table(config, params)
+    t0 += time.perf_counter() - t1
+
+    if tiles is not None:
+        part = (plan, params, table, config.part, config.threads, tiles)
         if config.dedup:
-            edges, _, used = generate_part(*part, threads=config.threads)
+            edges, _, used = generate_part(*part)
         else:
-            units = generate_part_stream(*part, threads=config.threads)
+            units = generate_part_stream(*part)
     else:
         gen_config = GenConfig(params=params, table=table, edge_count=config.m,
                                seed=config.seed, threads=config.threads)

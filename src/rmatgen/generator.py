@@ -12,11 +12,17 @@ bit-identical:
   edge j as the k-bit window at bit j*k, a fixed number of vector
   operations per edge.  It takes a batch of (count, stream) segments and
   emits their edges back to back, which lets the partition module fill
-  many small tiles in one call.
+  many small tiles in one call.  Where it stops inside a fragment, it
+  leaves a carry on the stream (see `_rng.Stream`), and the next chunk or
+  call on that stream goes on from there with the same bits.
 - The fixed-depth kernel exploits the periodic alignment of equal-depth
   fragments with edges.  It serves the blocks of every fixed-depth table
   at any k, with row and column bits in one 64-bit lane up to k = 32 and
   in two lanes above, and it is about twice as fast as the word stream.
+
+Both kernels work through a call in chunks of at most _CHUNK_EDGES
+edges, each written into its slice of the call's output, so their
+temporaries scale with a chunk, not with the call.
 
 `naive_edge` / `naive_edges` implement the textbook one-draw-per-level
 generator that serves as the statistical oracle and the performance
@@ -52,6 +58,23 @@ from .params import MAX_K, BadExponent, RmatParams
 from .table import FragmentTable, _check_model
 
 DEFAULT_BLOCK_SIZE = 1 << 16
+
+#: Most edges one pass of a kernel works on.  `rmat generate -k 20 -m
+#: 8388608` peaked at 41.0, 42.0, 44.4 and 48.2 MB RSS with chunks of 2^12
+#: to 2^15 edges (55.4 MB unchunked).  2^12 took about 20% more time than
+#: the others, and 2^13 about 10% more CPU than 2^14 under `--tiles 6
+#: --threads 2`, where the Python cost of each chunk holds the GIL (2-core
+#: Xeon, numpy 2.4).
+_CHUNK_EDGES = 1 << 14
+
+# Each thread keeps its last unit's output, and a large temporary of its
+# last chunk that lies above most of the others, until it has made the
+# next, so that glibc's malloc does not hand the top of the heap back to
+# the OS after every unit or chunk, only to fault the same pages in again:
+# `rmat generate -k 20 -m 8388608` took 455k page faults instead of 7.6k
+# when units were not kept, and 1.65x the time, and 438k instead of 8.0k
+# when chunks of 2^14 edges were not kept.
+_held = threading.local()
 
 _ONE = np.uint64(1)
 _SIX = np.uint64(6)
@@ -183,14 +206,26 @@ def _emit_fixed(comp: _Compiled, k: int, count: int, stream: Stream) -> tuple[np
     Geometry is periodic, so the block is reshaped into rows of ge edges
     fed by gf fragments, and every piece becomes one scalar shift-and-mask
     over a contiguous fragment column.  No per-element index arithmetic
-    survives into the hot loop.
+    survives into the hot loop.  Chunks of about _CHUNK_EDGES edges start
+    on period boundaries, where fragments and edges align, so each chunk
+    draws its own fragments and none carries bits to the next.
     """
     l = comp.fixed_depth
     assert l is not None and comp.packed is not None
     ge, gf, plan = _fixed_plan(k, l)
-    nsuper = (count + ge - 1) // ge
-    nf = (count * k + l - 1) // l  # minimal cover; the pad words below
-    sel = _select(comp, stream.words(nsuper * gf))  # are never observable
+    edges = np.empty((count, 2), dtype=np.uint64)
+    step = max(1, _CHUNK_EDGES // ge) * ge
+    for lo in range(0, count, step):
+        _fixed_chunk(comp, k, gf, plan, stream, edges[lo : lo + step])
+    return edges, (count * k + l - 1) // l  # the pad words drawn are never observable
+
+
+def _fixed_chunk(comp: _Compiled, k: int, gf: int, plan: list, stream: Stream,
+                 out: np.ndarray) -> None:
+    """One chunk of the fixed-depth kernel, from a period boundary on: its edges into out."""
+    ge = len(plan)
+    nsuper = (len(out) + ge - 1) // ge
+    sel = _select(comp, stream.words(nsuper * gf))
 
     # One gather, then a transpose so each of the gf fragment columns is
     # contiguous.  Up to k = 32 one lane carries both sides, row bits in
@@ -214,21 +249,20 @@ def _emit_fixed(comp: _Compiled, k: int, count: int, stream: Stream) -> tuple[np
         sh = np.uint64(abs(s))
         return ((frag[c] << sh) if s >= 0 else (frag[c] >> sh)) & np.uint64(mask * double)
 
-    out = np.empty((frag.shape[1], nsuper, ge), dtype=np.uint64)
+    acc = np.empty((frag.shape[1], nsuper, ge), dtype=np.uint64)
     for j, (first, *rest) in enumerate(plan):
-        acc = piece(*first)
+        lane = piece(*first)
         for p in rest:
-            acc |= piece(*p)
-        out[:, :, j] = acc
+            lane |= piece(*p)
+        acc[:, :, j] = lane
 
-    lanes = out.reshape(len(out), -1)[:, :count]
-    edges = np.empty((count, 2), dtype=np.uint64)
+    lanes = acc.reshape(len(acc), -1)[:, : len(out)]
     if k <= 32:
-        np.right_shift(lanes[0], np.uint64(32), out=edges[:, 0])
-        np.bitwise_and(lanes[0], _MASK32, out=edges[:, 1])
+        np.right_shift(lanes[0], np.uint64(32), out=out[:, 0])
+        np.bitwise_and(lanes[0], _MASK32, out=out[:, 1])
     else:
-        edges.T[:] = lanes
-    return edges, nf
+        out.T[:] = lanes
+    _held.scratch = frag
 
 
 def _emit_general(
@@ -237,22 +271,70 @@ def _emit_general(
     """Word-stream kernel for arbitrary (variable-depth) tables.
 
     segments lists (count, stream) pairs whose edges come out back to
-    back.  Each segment samples fragments from its own stream until their
-    depths cover count*k bits, and its last fragment is clamped to end
-    exactly there.  The used fragments of all segments thus form one bit
+    back, each cut from its own stream's fragment bits.  The call walks
+    them in chunks of at most _CHUNK_EDGES edges, each written into its
+    slice of the output, so its temporaries scale with a chunk, not with
+    the call.  A segment that a chunk boundary cuts goes on in the next
+    chunk from the carry the first part left on its stream, and so can a
+    later call that takes the same stream.  Returns the edges and the
+    number of samples they used.
+    """
+    total = sum(count for count, _ in segments)
+    edges = np.empty((total, 2), dtype=np.uint64)
+    # Chunks of near one size: a short last chunk would let go of the heap top
+    # that the kept scratch of the others holds (see _held).
+    chunks = -(-total // _CHUNK_EDGES)
+    size = -(-total // chunks) if chunks else 0
+    lo = samples = 0
+    chunk: list[tuple[int, Stream]] = []
+    room = size
+    for count, stream in segments:
+        while count:
+            take = min(count, room)
+            chunk.append((take, stream))
+            count -= take
+            room -= take
+            if not room:
+                samples += _emit_words(comp, k, chunk, edges[lo : lo + size])
+                lo += size
+                chunk, room = [], size
+    if chunk:
+        samples += _emit_words(comp, k, chunk, edges[lo:])
+    return edges, samples
+
+
+def _emit_words(comp: _Compiled, k: int, pieces: list[tuple[int, Stream]],
+                out: np.ndarray) -> int:
+    """One chunk of the word-stream kernel: the pieces' edges into out; returns their samples.
+
+    Each piece samples fragments from its stream until their depths cover
+    count*k bits, and its last fragment is clamped to end exactly there.
+    A stream with a carry starts inside the fragment at its position: that
+    word is drawn again, only its low `carry` bits are used, and it is not
+    a new sample.  The used fragments of all pieces thus form one bit
     stream, packed most significant bit first into uint64 words (a row
     word and a column word per 64 bits), and edge j is the k-bit window at
-    bit j*k.  Returns the edges and the number of samples they used.
+    bit j*k.  Each stream is left at its clamped fragment with the cut
+    bits as its carry, or past it when nothing was cut.
     """
-    needs = np.array([count * k for count, _ in segments], dtype=np.uint64)
-    sel, csum, lo, base = _cover(comp, needs, [stream for _, stream in segments])
+    streams = [stream for _, stream in pieces]
+    starts = np.array([stream.pos for stream in streams])
+    carry = np.array([stream.carry for stream in streams], dtype=np.uint64)
+    needs = np.array([count * k for count, _ in pieces], dtype=np.uint64)
+    sel, csum, lo, base = _cover(comp, needs, streams, carry)
 
-    # A segment's last fragment is the first whose end reaches its base
-    # plus its need; the bits past that point, and later draws, go unused.
+    # A piece's last fragment is the first whose end reaches its base plus
+    # its need; the bits past that point are its stream's new carry, and
+    # later draws go unused.
     reach = base + needs
     last = np.searchsorted(csum, reach)
     nfs = last - lo + 1
-    if len(segments) == 1:
+    cut = csum[last] - reach
+    resumed = np.flatnonzero(carry)
+    for stream, pos, bits in zip(streams, (starts + last - lo + (cut == 0)).tolist(),
+                                 cut.tolist()):
+        stream.pos, stream.carry = pos, bits
+    if len(pieces) == 1:
         used = sel[: nfs[0]]
         end = csum[: nfs[0]].copy()
     else:
@@ -261,13 +343,13 @@ def _emit_general(
         marks[last + 1] -= 1
         keep = np.cumsum(marks[:-1]) > 0
         used = sel[keep]
-        # Rebase each segment's depth sums to where its bits start in the
+        # Rebase each piece's depth sums to where its bits start in the
         # joint stream.
         end = csum[keep] - np.repeat(base - (np.cumsum(needs) - needs), nfs)
     tail = np.cumsum(nfs) - 1
-    cut = csum[last] - reach
     end[tail] -= cut
     vals = np.take(comp.bits, used, axis=1)
+    vals[:, (tail + 1 - nfs)[resumed]] &= (_ONE << carry[resumed]) - _ONE
     vals[:, tail] >>= cut
 
     # Shift each fragment so its last bit lands at its place in the word
@@ -285,7 +367,7 @@ def _emit_general(
 
     # Edge j is the top k of the 128 bits of words w and w+1 from offset
     # off; when it ends inside word w, word w+1 is shifted out entirely.
-    pos = np.arange(int(needs.sum()) // k, dtype=np.uint64) * np.uint64(k)
+    pos = np.arange(len(out), dtype=np.uint64) * np.uint64(k)
     w = (pos >> _SIX).astype(np.intp)
     off = pos & _LOW6
     left = np.take(words, w, axis=1)
@@ -294,21 +376,21 @@ def _emit_general(
     right >>= _ONE
     right >>= _LOW6 - off
     left |= right
-    edges = np.empty((len(pos), 2), dtype=np.uint64)
-    np.right_shift(left, np.uint64(64 - k), out=edges.T)
-    return edges, int(nfs.sum())
+    np.right_shift(left, np.uint64(64 - k), out=out.T)
+    _held.scratch = left
+    return int(nfs.sum()) - len(resumed)
 
 
 def _cover(
-    comp: _Compiled, needs: np.ndarray, streams: list[Stream]
+    comp: _Compiled, needs: np.ndarray, streams: list[Stream], carry: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Fragments whose depths cover needs[i] bits from each of the streams.
 
     Returns the selected entries of all streams back to back, the running
     sum of their depths, and for each stream the index of its first entry
-    and the depth sum before it.  A stream is drawn in the sizes of its own
-    estimate and top-ups, so one that is drawn from again later sees the
-    same words however the streams were batched.
+    and the depth sum before it.  A stream's first entry counts only its
+    carry bits when it has a carry.  A stream is drawn in the sizes of its
+    own estimate and top-ups; the words do not depend on those sizes.
     """
 
     def want(short: int) -> int:
@@ -319,8 +401,7 @@ def _cover(
     draws = [stream.words(want(int(need))) for need, stream in zip(needs, streams)]
     sel = _select(comp, draws[0] if len(draws) == 1 else np.concatenate(draws))
     sizes = np.array([len(x) for x in draws])
-    csum = np.cumsum(comp.depths[sel])
-    lo, base = _run_starts(csum, sizes)
+    csum, lo, base = _depth_sums(comp, sel, sizes, carry)
     short = [int(n) - int(c - b) for n, c, b in zip(needs, csum[lo + sizes - 1], base)]
     if max(short) <= 0:
         return sel, csum, lo, base
@@ -331,16 +412,23 @@ def _cover(
             runs[i] = np.concatenate([runs[i], more])
             short[i] -= int(comp.depths[more].sum())
     sel = np.concatenate(runs)
-    csum = np.cumsum(comp.depths[sel])
-    return sel, csum, *_run_starts(csum, np.array([len(x) for x in runs]))
+    return sel, *_depth_sums(comp, sel, np.array([len(x) for x in runs]), carry)
 
 
-def _run_starts(csum: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First index of each run of `sizes` entries, and csum just before it."""
+def _depth_sums(
+    comp: _Compiled, sel: np.ndarray, sizes: np.ndarray, carry: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Running depth sum of runs of `sizes` entries whose first entries are
+    `carry` bits deep where that is set; each run's first index and the sum
+    before it."""
     lo = np.cumsum(sizes) - sizes
+    dep = comp.depths[sel]
+    resumed = np.flatnonzero(carry)
+    dep[lo[resumed]] = carry[resumed]
+    csum = np.cumsum(dep)
     base = np.zeros(len(sizes), dtype=np.uint64)
     base[1:] = csum[lo[1:] - 1]
-    return lo, base
+    return csum, lo, base
 
 
 def _emit(comp: _Compiled, k: int, count: int, stream: Stream) -> tuple[np.ndarray, int]:
@@ -455,16 +543,10 @@ def _stream_units(count: int, units: Iterable, threads: int) -> Iterator[tuple[n
     Units run on at most one thread per unit and one per core, two per
     thread in flight; threads change who runs a unit, not the bytes.
     """
-    last = threading.local()
 
     def run(emit) -> tuple[np.ndarray, int]:
         out, samples = emit()
-        # Each thread keeps its last unit until it has emitted the next, so
-        # that glibc's malloc does not hand the top of the heap back to the
-        # OS after every unit: `rmat generate -k 20 -m 8388608` then took
-        # 455k page faults instead of 7.6k, and 1.65x the time.  So emit()
-        # returns its kernel's own output array, not a copy of it.
-        last.out = out
+        _held.out = out  # the kernel's own output array, not a copy of it
         return out, samples
 
     workers = max(1, min(threads, count, os.cpu_count() or 1))

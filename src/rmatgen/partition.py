@@ -8,9 +8,15 @@ needed.  Tiles are then filled locally on the remaining k - t index
 bits, each from its own stream keyed by (seed, tile coordinates).  The
 word-stream kernel joins the streams of many small tiles into one call
 of at least a block of edges, so its per-call cost is not paid per tile.
-Each such batch of tiles is one unit of the generator's in-order unit
-stream, on any number of threads: `generate_part_stream` yields the
-units, and `generate_part` gathers them into one array.
+A tile of more than a block is cut into pieces of a block, chained
+sub-segments of its one stream: each piece's batch waits for the batch
+before it to leave the kernel's carry on the stream, and the bytes are
+those of the uncut tile.  Each batch is one unit of the generator's
+in-order unit stream, on any number of threads: `generate_part_stream`
+yields the units, and `generate_part` gathers them into one array.  The
+pool starts units in order, so a unit waiting for its predecessor never
+waits for one that has not started; a chain runs one piece at a time,
+and a plan of a few big tiles gains little from threads.
 
 Neither a split node nor a tile builds a numpy Generator.  A split node
 re-keys the thread's shared Generator (`_rng.rekeyed`) and makes its
@@ -24,6 +30,7 @@ with the whole grid.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
@@ -163,40 +170,84 @@ def plan_tiles(plan: PartitionPlan, params: RmatParams, part: int = 0) -> list[T
     return out
 
 
+class _Handoff:
+    """A split tile's stream, passed from the unit that emits one piece to the unit with the next.
+
+    The next unit waits for `done`; `stream` stays None when the unit
+    before failed.
+    """
+
+    __slots__ = ("stream", "done")
+
+    def __init__(self) -> None:
+        self.stream: Stream | None = None
+        self.done = threading.Event()
+
+
 def _units(comp, tiles: list[TileCount], k: int, t: int, seed: int) -> tuple[int, list]:
     """The edge count of `tiles` and the batches that fill it, in order.
 
     A batch is a run of non-empty tiles that closes once it holds a block,
-    so one kernel call serves many small tiles with temporaries near one
-    block in size.
+    so one kernel call serves many small tiles.  A tile of more than a
+    block is cut into pieces: the first fills its batch to exactly a block,
+    each later one but the last is a batch of one block, and the last
+    opens the next batch.  No batch holds two blocks.  The pieces of a tile
+    share its stream, which each batch hands to the next once the kernel
+    has left its carry on it.
     """
     units: list = []
     batch: list[TileCount] = []
     lo = pos = 0
+    inbound = None
     for tc in tiles:
-        if tc.count:
-            batch.append(tc)
-            pos += tc.count
-        if pos - lo >= DEFAULT_BLOCK_SIZE:
-            units.append(partial(_batch, comp, batch, k, t, seed))
-            batch, lo = [], pos
+        left = tc.count
+        while left:
+            take = left if left <= DEFAULT_BLOCK_SIZE else DEFAULT_BLOCK_SIZE - (pos - lo)
+            batch.append(tc if take == tc.count else TileCount(tc.tile_row, tc.tile_col, take))
+            left -= take
+            pos += take
+            if pos - lo >= DEFAULT_BLOCK_SIZE:
+                outbound = _Handoff() if left else None
+                units.append(partial(_batch, comp, batch, k, t, seed, inbound, outbound))
+                batch, lo, inbound = [], pos, outbound
     if batch:
-        units.append(partial(_batch, comp, batch, k, t, seed))
+        units.append(partial(_batch, comp, batch, k, t, seed, inbound, None))
     return pos, units
 
 
-def _batch(comp, tiles: list[TileCount], k: int, t: int, seed: int) -> tuple[np.ndarray, int]:
-    """Edges of a batch of tiles back to back, from one kernel call."""
-    inner = k - t
-    prefix = np.array([(tc.tile_row, tc.tile_col) for tc in tiles], dtype=np.uint64)
-    prefixes = np.repeat(prefix << np.uint64(inner), [tc.count for tc in tiles], axis=0)
-    if inner == 0:
-        return prefixes, 0
-    segments = [(tc.count, Stream(seed, DOMAIN_TILE, (tc.tile_row << t) | tc.tile_col))
-                for tc in tiles]
-    bits, used = _emit_general(comp, inner, segments)
-    bits |= prefixes
-    return bits, used
+def _batch(comp, tiles: list[TileCount], k: int, t: int, seed: int,
+           inbound: _Handoff | None, outbound: _Handoff | None) -> tuple[np.ndarray, int]:
+    """Edges of a batch of tile pieces back to back, from one kernel call.
+
+    A first piece that goes on with a tile takes its stream from inbound,
+    and a last piece that the next batch goes on with hands its stream to
+    outbound, which is marked done also when this batch fails.
+    """
+    try:
+        segments = [(tc.count, Stream(seed, DOMAIN_TILE, (tc.tile_row << t) | tc.tile_col))
+                    for tc in tiles]
+        if inbound is not None:
+            inbound.done.wait()
+            if inbound.stream is None:
+                raise RuntimeError("the batch before this one failed")
+            segments[0] = (tiles[0].count, inbound.stream)
+        inner = k - t
+        prefix = np.array([(tc.tile_row, tc.tile_col) for tc in tiles], dtype=np.uint64)
+        prefix <<= np.uint64(inner)
+        counts = [tc.count for tc in tiles]
+        if inner:
+            edges, used = _emit_general(comp, inner, segments)
+            # Repeated after the kernel, into pages its chunks have just freed:
+            # repeated before it, tiled-part took 30k page faults, not 14k.
+            edges |= np.repeat(prefix, counts, axis=0)
+        else:
+            edges, used = np.repeat(prefix, counts, axis=0), 0
+        if outbound is not None:
+            outbound.stream = segments[-1][1]
+        return edges, used
+    finally:
+        if outbound is not None:
+            outbound.done.set()
 
 
 def generate_tile(
@@ -229,25 +280,27 @@ def generate_tile(
     return _collect(total, _stream_units(len(units), units, 1))[0]
 
 
-def _part_stream(plan, params, table, part, threads) -> tuple[list, int, Iterator]:
+def _part_stream(plan, params, table, part, threads, tiles) -> tuple[list, int, Iterator]:
     """The part's tile counts, their edge total, and the stream of its batches."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     _check_model(table, params)
-    tiles = plan_tiles(plan, params, part)
+    if tiles is None:
+        tiles = plan_tiles(plan, params, part)
     total, units = _units(_compile(table), tiles, plan.k, plan.t, plan.seed)
     return tiles, total, _stream_units(len(units), units, threads)
 
 
 def generate_part_stream(
     plan: PartitionPlan, params: RmatParams, table: FragmentTable,
-    part: int = 0, threads: int = 1,
+    part: int = 0, threads: int = 1, tiles: list[TileCount] | None = None,
 ) -> Iterator[tuple[np.ndarray, int]]:
-    """generate_part's (edges, samples), one batch of tiles at a time; plans the tiles first.
+    """generate_part's (edges, samples), one batch of tiles at a time; plans the part first.
 
-    A batch holds about a block of edges, or one larger tile.
+    A batch holds about a block of edges, at most two blocks less one.
+    tiles is as in generate_part.
     """
-    return _part_stream(plan, params, table, part, threads)[2]
+    return _part_stream(plan, params, table, part, threads, tiles)[2]
 
 
 def generate_part(
@@ -256,13 +309,15 @@ def generate_part(
     table: FragmentTable,
     part: int = 0,
     threads: int = 1,
+    tiles: list[TileCount] | None = None,
 ) -> tuple[np.ndarray, list[TileCount], int]:
     """All edges of one part, in tile order.
 
     Returns (edges, tile counts, alias samples consumed).  The table is
     compiled once and reused across tiles.  Tile batches run on up to
-    `threads` threads without changing the bytes.
+    `threads` threads without changing the bytes.  tiles, when given, is
+    the part's `plan_tiles` result, which is then not planned again.
     """
-    tiles, total, units = _part_stream(plan, params, table, part, threads)
+    tiles, total, units = _part_stream(plan, params, table, part, threads, tiles)
     edges, samples = _collect(total, units)
     return edges, tiles, samples

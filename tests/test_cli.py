@@ -25,6 +25,7 @@ from rmatgen import (
 )
 import rmatgen.cli as cli_mod
 import rmatgen.generator as generator
+import rmatgen.partition as partition_mod
 from rmatgen.cli import _write_file, main
 
 SUMMARY_RE = re.compile(
@@ -358,6 +359,30 @@ def test_dedup_within_memory_runs(tmp_path, monkeypatch):
     assert 0 < len(read_binary(tmp_path / "x.bin")) <= 1000
 
 
+@pytest.mark.parametrize("spare,rc", [(0, 0), (-1, 2)], ids=["fits", "short"])
+def test_dedup_bound_counts_the_part_edges(tmp_path, capsys, monkeypatch, spare, rc):
+    # Part 1 of 2 holds the bottom tile row, about a quarter of -m.  Memory
+    # for its edges but not for all -m is enough, and the part is planned once.
+    argv = ["-k", "8", "-m", "1000", "--tiles", "2", "--parts", "2", "--part", "1"]
+    plan = default_plan(8, 2, 1000, 1, parts=2)
+    held = sum(tc.count for tc in plan_tiles(plan, validate(*GRAPH500, k=8), 1))
+    assert 0 < held < 500
+    monkeypatch.setattr(cli_mod, "_physical_memory",
+                        lambda: held * cli_mod.DEDUP_BYTES_PER_EDGE + spare)
+    planned = []
+    for mod in (cli_mod, partition_mod):
+        monkeypatch.setattr(mod, "plan_tiles",
+                            lambda *a, _plan=mod.plan_tiles: planned.append(a) or _plan(*a))
+    path = tmp_path / "x.bin"
+    assert main(["generate", *argv, "--dedup", "-o", str(path)]) == rc
+    assert len(planned) == 1
+    if rc:
+        assert capsys.readouterr().err.startswith("error: --dedup holds")
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert 0 < len(read_binary(path)) <= held
+
+
 def test_physical_memory_is_positive():
     assert cli_mod._physical_memory() > 0
 
@@ -499,7 +524,7 @@ def library_edges(tiles, threads):
 @pytest.mark.parametrize("tiles", [False, True], ids=["untiled", "tiled"])
 def test_streamed_file_matches_library_arrays(tmp_path, monkeypatch, tiles, fmt, threads):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    if tiles:  # the largest tile holds more than a block, so it is a unit of its own
+    if tiles:  # the largest tile holds more than a block, so it is cut into pieces
         counts = [tc.count for tc in plan_tiles(default_plan(16, 2, 300_000, 5), STREAM_PARAMS)]
         assert max(counts) > DEFAULT_BLOCK_SIZE
     path = tmp_path / "e.out"
@@ -521,11 +546,12 @@ def traced_peak(argv):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("extra", [[], ["--undirected", "--scramble", "--format", "text"]],
-                         ids=["binary", "text"])
+@pytest.mark.parametrize("extra", [[], ["--undirected", "--scramble", "--format", "text"],
+                                   ["--tiles", "0"]],
+                         ids=["binary", "text", "tiles0"])
 def test_generate_peak_memory_flat_in_m(tmp_path, extra):
     # 16 blocks must peak within 1.25x of 4 blocks: the CLI holds a window
-    # of units, not the whole edge list.
+    # of units, not the whole edge list, also when all of it is one tile.
     peaks = []
     for n in (4, 16):
         peaks.append(traced_peak(["generate", "-k", "16", "-m", str(n * DEFAULT_BLOCK_SIZE),

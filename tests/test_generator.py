@@ -3,6 +3,7 @@ import hashlib
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -439,3 +440,103 @@ def test_edges_bounded_by_node_count():
     for k in (1, 7, 33):
         edges = emit_block(variable_table(G500, 4, 1021), k, 5000, (3, 1))
         assert int(edges.max()) < (1 << k)
+
+
+# ------------------------------------------------------------------- chunks
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 13, 1000])
+@pytest.mark.parametrize("k,tag", [(13, "v253"), (62, "s8191"), (13, "f5"), (40, "f8")])
+def test_chunked_kernels_match_unchunked_and_reference(k, tag, chunk, monkeypatch):
+    # Chunks cut the stream of a segment wherever they fill; each part
+    # resumes from its carry.  f8 at k = 40 takes the fixed kernel's two lanes.
+    table = table_for(tag)
+    comp = _compile(table)
+    general = dataclasses.replace(comp, fixed_depth=None)
+    counts = [300, 1, 45]
+    refs = [_emit_reference(table, k, c, (9, i)) for i, c in enumerate(counts)]
+    def segments():
+        return [(c, Stream(9, DOMAIN_BLOCK, i)) for i, c in enumerate(counts)]
+
+    whole = _emit_general(general, k, segments())
+    monkeypatch.setattr(generator, "_CHUNK_EDGES", chunk)
+    for i, c in enumerate(counts):
+        got, used = _emit(comp, k, c, Stream(9, DOMAIN_BLOCK, i))
+        assert used == refs[i][1]
+        assert (got == refs[i][0]).all()
+    got, used = _emit_general(general, k, segments())
+    assert used == whole[1] == sum(r[1] for r in refs)
+    assert (got == whole[0]).all()
+    assert (got == np.concatenate([r[0] for r in refs])).all()
+
+
+def test_carry_left_on_the_stream():
+    # Depth-5 fragments at k = 7: 3 edges are 21 bits, so the fifth
+    # fragment is cut after 1 bit and its word is where the stream resumes
+    # with 4 bits to go; 2 more edges end exactly on a fragment boundary.
+    table = fixed_table(G500, 4, 5)
+    general = dataclasses.replace(_compile(table), fixed_depth=None)
+    ref, ref_used = _emit_reference(table, 7, 5, (9, 0))
+    stream = Stream(9, DOMAIN_BLOCK, 0)
+    first, used = _emit_general(general, 7, [(3, stream)])
+    assert (used, stream.pos, stream.carry) == (5, 4, 4)
+    second, more = _emit_general(general, 7, [(2, stream)])
+    assert (more, stream.pos, stream.carry) == (2, 7, 0)
+    assert used + more == ref_used == 7
+    assert (np.concatenate([first, second]) == ref).all()
+
+
+def test_chunk_boundary_on_a_fragment_boundary(monkeypatch):
+    # Chunks of 5 edges at k = 7 are 35 bits, seven depth-5 fragments, so
+    # every chunk ends with nothing cut and the next starts on a fresh word.
+    table = fixed_table(G500, 4, 5)
+    general = dataclasses.replace(_compile(table), fixed_depth=None)
+    ref, ref_used = _emit_reference(table, 7, 23, (9, 1))
+    monkeypatch.setattr(generator, "_CHUNK_EDGES", 5)
+    stream = Stream(9, DOMAIN_BLOCK, 1)
+    got, used = _emit_general(general, 7, [(20, stream)])
+    assert (stream.pos, stream.carry) == (28, 0)
+    rest, more = _emit_general(general, 7, [(3, stream)])
+    assert used + more == ref_used
+    assert (np.concatenate([got, rest]) == ref).all()
+
+
+@pytest.mark.parametrize("tag", ["f5", "v253"])
+def test_top_up_draws_in_later_chunks(tag, monkeypatch):
+    # An estimate four times too high leaves every chunk's first draw
+    # short, so each chunk, the later ones too, tops up its stream.
+    table = table_for(tag)
+    starved = dataclasses.replace(_compile(table), mean_depth=4 * table.mean_depth,
+                                  fixed_depth=None)
+    draws = []
+    words = Stream.words
+
+    def counted(self, n):
+        draws.append(n)
+        return words(self, n)
+
+    monkeypatch.setattr(Stream, "words", counted)
+    monkeypatch.setattr(generator, "_CHUNK_EDGES", 97)
+    ref, ref_used = _emit_reference(table, 13, 1000, (9, 2))
+    got, used = _emit_general(starved, 13, [(1000, Stream(9, DOMAIN_BLOCK, 2))])
+    assert used == ref_used
+    assert (got == ref).all()
+    assert len(draws) > 2 * -(-1000 // 97)
+
+
+def test_kernel_scratch_scales_with_the_chunk():
+    # The kernel's temporaries beyond its output stay those of one chunk:
+    # 16 blocks must not take more than twice the scratch of one.
+    table = variable_table(G500, 20, 8191)
+    comp = _compile(table)
+    scratch = []
+    for n in (1, 16):
+        count = n * generator.DEFAULT_BLOCK_SIZE
+        tracemalloc.start()
+        try:
+            _emit(comp, 20, count, Stream(3, DOMAIN_BLOCK, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scratch.append(peak - 16 * count)
+    assert 0 < scratch[1] <= 2 * scratch[0], scratch

@@ -516,3 +516,96 @@ def test_generate_part_error_propagates_from_threads(monkeypatch):
     runner.join(60)
     assert not runner.is_alive()
     assert [str(exc) for exc in raised] == ["batch 2"]
+
+
+# ------------------------------------------------------------- split tiles
+
+
+def big_tile_inputs(kind):
+    # Tile (0, 0) of this plan holds about 2.8 blocks next to tiles of
+    # about one block and smaller ones.
+    k, m = 12, 1_000_000
+    table = fixed_table(G500, k, 3) if kind == "fixed" else variable_table(G500, k, 253)
+    return default_plan(k=k, t=3, m=m, seed=31), params_for(G500, k), table
+
+
+@pytest.mark.parametrize("kind,count", [("variable", 3 * DEFAULT_BLOCK_SIZE + 123),
+                                        ("fixed", 4 * DEFAULT_BLOCK_SIZE)])
+def test_split_tile_equals_one_unsplit_call(kind, count, monkeypatch):
+    # A tile of several blocks is cut into block-sized units, each going on
+    # from the carry of the one before.  Fixed depth 4 under 16 inner bits
+    # makes every cut fall on a fragment boundary (nothing carried).
+    k, t, seed = 18, 2, 7
+    table = fixed_table(G500, k, 4) if kind == "fixed" else variable_table(G500, k, 1021)
+    comp = generator_mod._compile(table)
+    tc = TileCount(tile_row=2, tile_col=1, count=count)
+    total, units = partition_mod._units(comp, [tc], k, t, seed)
+    assert total == count and len(units) == -(-count // DEFAULT_BLOCK_SIZE)
+    pieces = [unit() for unit in units]
+    assert all(len(edges) <= DEFAULT_BLOCK_SIZE for edges, _ in pieces)
+    monkeypatch.setattr(generator_mod, "_CHUNK_EDGES", count)
+    stream = generator_mod.Stream(seed, partition_mod.DOMAIN_TILE, (2 << t) | 1)
+    bits, used = partition_mod._emit_general(comp, k - t, [(count, stream)])
+    prefix = np.array([2, 1], dtype=np.uint64) << np.uint64(k - t)
+    assert sum(u for _, u in pieces) == used
+    assert np.array_equal(np.concatenate([e for e, _ in pieces]), bits | prefix)
+
+
+def test_split_tile_units_close_at_one_block():
+    plan, params, _ = big_tile_inputs("variable")
+    tiles = plan_tiles(plan, params)
+    assert max(tc.count for tc in tiles) > 2 * DEFAULT_BLOCK_SIZE
+    total, units = partition_mod._units(None, tiles, plan.k, plan.t, plan.seed)
+    sizes = [sum(tc.count for tc in unit.args[1]) for unit in units]
+    assert sum(sizes) == total == plan.m
+    assert max(sizes) < 2 * DEFAULT_BLOCK_SIZE
+    # Each handoff links one unit to the next, and only those two.
+    for before, after in zip(units, units[1:]):
+        assert before.args[-1] is after.args[-2]
+    assert sum(unit.args[-1] is not None for unit in units) >= 2
+
+
+@pytest.mark.parametrize("threads", [2, 3, 8])
+def test_split_tile_thread_count_invariance(threads, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for kind in ("variable", "fixed"):
+            plan, params, table = big_tile_inputs(kind)
+            ref, _, used = generate_part(plan, params, table)
+            got, _, got_used = generate_part(plan, params, table, threads=threads)
+            assert got_used == used
+            assert np.array_equal(got, ref)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_split_tile_error_propagates_mid_chain(monkeypatch):
+    # One tile of 5 blocks is a chain of 5 units; the third fails while
+    # the fourth waits for its carry on the other thread.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    plan = default_plan(k=12, t=0, m=5 * DEFAULT_BLOCK_SIZE, seed=3)
+    params, table = params_for(G500, 12), variable_table(G500, 12, 253)
+    calls = itertools.count()
+    emit = partition_mod._emit_general
+
+    def failing(comp, k, segments):
+        if next(calls) == 2:
+            raise MemoryError("piece 2")
+        return emit(comp, k, segments)
+
+    monkeypatch.setattr(partition_mod, "_emit_general", failing)
+    raised = []
+
+    def run():
+        try:
+            generate_part(plan, params, table, threads=2)
+        except MemoryError as exc:
+            raised.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(60)
+    assert not runner.is_alive()
+    assert [str(exc) for exc in raised] == ["piece 2"]
