@@ -48,7 +48,6 @@ from .partition import (
     default_plan,
     generate_part,
     generate_part_stream,
-    generate_tile,
     plan_tiles,
     split_quadrant_counts,
 )
@@ -104,7 +103,7 @@ __all__ = [
     "GRAPH500", "MAX_K", "BadExponent", "NegativeOrZeroWeight", "RmatParams",
     "SumOutOfTolerance", "entropy", "speedup_bound", "validate",
     "MAX_PLAN_TILES", "MAX_TILE_BITS", "PartitionPlan", "PlanTooLarge", "TileCount",
-    "default_plan", "generate_part", "generate_part_stream", "generate_tile", "plan_tiles",
+    "default_plan", "generate_part", "generate_part_stream", "plan_tiles",
     "split_quadrant_counts",
     "EdgeOutsideDeclaredTile", "ScrambleKey", "dedup_local",
     "make_scramble_key", "mirrored", "scramble", "scramble_edges",

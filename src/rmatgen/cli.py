@@ -10,12 +10,15 @@ Subcommands:
 without writing, so a sweep over table sizes or thread counts is a shell
 loop over it; perfbench/ is the harness whose timings count.
 
-`generate` appends each unit of edges (a block, or a batch of tiles) to a
-temp file as it arrives, so memory holds a bounded window of units, not -m
-edges; --dedup is global and holds every edge plus the sort's copies,
-about DEDUP_BYTES_PER_EDGE bytes per edge, which is checked against
-physical memory before the table is built: for all -m edges, or, on one
-part of a tiled run, which is planned first, for the edges of its tiles.
+`generate` makes one stream of units of edges: blocks from
+`generate_stream`, or, on a tiled run, batches of the part's tiles from
+`generate_part_stream`.  It appends each unit to a temp file as it
+arrives, so memory holds a bounded window of units, not -m edges.
+--dedup is global: it gathers that same stream into one array and holds
+every edge plus the sort's copies, about DEDUP_BYTES_PER_EDGE bytes per
+edge, which is checked against physical memory before the table is
+built: for all -m edges, or, on one part of a tiled run, which is
+planned first, for the edges of its tiles.
 The temp file is renamed into place last, so a failed run leaves no
 file.  Exit codes: 0 on success, 1 for a failing `verify` verdict, 2 on
 any error.
@@ -31,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import DEFAULT_BLOCK_SIZE, GenConfig, generate_result, generate_stream
+from .generator import DEFAULT_BLOCK_SIZE, GenConfig, _collect, generate_stream
 from .params import GRAPH500, RmatParams, validate
-from .partition import default_plan, generate_part, generate_part_stream, plan_tiles
+from .partition import default_plan, generate_part_stream, plan_tiles
 from .postprocess import dedup_local, make_scramble_key, scramble_edges, to_undirected
 from .stats import MAX_ENUM_K, _cells, chi_square, exact_cell_probs, pool_small_cells
 from .table import (
@@ -50,8 +53,8 @@ THREADS_ENV = "RMAT_THREADS"
 
 #: Peak bytes `generate --dedup` holds per requested edge: the edges, their
 #: mirrored copy, the sort key, its order and the kept rows.  Measured with
-#: --undirected --scramble at k=20: 126.6 MB peak RSS at m=2^20 and 328.7 MB
-#: at 2^22, a slope of 64 B per edge.
+#: --undirected --scramble at k=20: 108.2 MB peak RSS at m=2^20 and 266.5 MB
+#: at 2^22, a slope of 53 B per edge, which 64 bounds with room to spare.
 DEDUP_BYTES_PER_EDGE = 64
 
 
@@ -114,16 +117,21 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
     kind = getattr(ns, "table", "variable")
     depth = getattr(ns, "depth", None)
     size = getattr(ns, "size", None)
+    depth_cap = getattr(ns, "depth_cap", None)
     if kind == "fixed":
         if depth is None:
             raise InvalidConfig("--table fixed requires --depth")
         if size is not None:
             raise InvalidConfig("--size applies only to --table variable")
+        if depth_cap is not None:
+            raise InvalidConfig("--depth-cap applies only to --table variable")
     else:
         if depth is not None:
             raise InvalidConfig("--depth applies only to --table fixed")
         if size is None:
             size = 8191
+    if depth_cap is None:
+        depth_cap = DEFAULT_DEPTH_CAP
 
     tiles = getattr(ns, "tiles", None)
     parts = getattr(ns, "parts", None)
@@ -160,7 +168,7 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
         a=ns.a, b=ns.b, c=ns.c, d=ns.d,
         k=ns.k, m=getattr(ns, "m", 0), seed=ns.seed,
         kind=kind, depth=depth, size=size,
-        depth_cap=getattr(ns, "depth_cap", DEFAULT_DEPTH_CAP),
+        depth_cap=depth_cap,
         undirected=getattr(ns, "undirected", False),
         scramble=getattr(ns, "scramble", False),
         dedup=getattr(ns, "dedup", False),
@@ -266,21 +274,13 @@ def run_generate(config: RunConfig) -> int:
     t0 += time.perf_counter() - t1
 
     if tiles is not None:
-        part = (plan, params, table, config.part, config.threads, tiles)
-        if config.dedup:
-            edges, _, used = generate_part(*part)
-        else:
-            units = generate_part_stream(*part)
+        units = generate_part_stream(plan, params, table, config.part, config.threads, tiles)
     else:
-        gen_config = GenConfig(params=params, table=table, edge_count=config.m,
-                               seed=config.seed, threads=config.threads)
-        if config.dedup:
-            res = generate_result(gen_config)
-            edges, used = res.edges, res.samples_consumed
-        else:
-            units = generate_stream(gen_config)
+        units = generate_stream(GenConfig(params=params, table=table, edge_count=config.m,
+                                          seed=config.seed, threads=config.threads))
     if config.dedup:
         # Dedup is global, so this path holds every edge plus the sort's copies.
+        edges, used = _collect(held, units)
         generated = len(edges)
         if config.undirected:
             edges = to_undirected(edges)
@@ -378,8 +378,9 @@ def _add_table_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--depth", type=int, help="fragment depth for fixed tables")
     p.add_argument("--size", type=int,
                    help="entry budget for variable tables (default: 8191)")
-    p.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP, dest="depth_cap",
-                   help="maximum fragment depth for variable tables")
+    p.add_argument("--depth-cap", type=int, dest="depth_cap",
+                   help="maximum fragment depth for variable tables "
+                        f"(default: {DEFAULT_DEPTH_CAP})")
 
 
 def _add_threads_arg(p: argparse.ArgumentParser) -> None:

@@ -12,11 +12,12 @@ A tile of more than a block is cut into pieces of a block, chained
 sub-segments of its one stream: each piece's batch waits for the batch
 before it to leave the kernel's carry on the stream, and the bytes are
 those of the uncut tile.  Each batch is one unit of the generator's
-in-order unit stream, on any number of threads: `generate_part_stream`
-yields the units, and `generate_part` gathers them into one array.  The
-pool starts units in order, so a unit waiting for its predecessor never
-waits for one that has not started; a chain runs one piece at a time,
-and a plan of a few big tiles gains little from threads.
+in-order unit stream, on any number of threads: `generate_part_stream`,
+the one code that fills tiles, yields the units, and `generate_part`
+gathers them into one array.  Tiles given to either are checked first.
+The pool starts units in order, so a unit waiting for its predecessor
+never waits for one that has not started; a chain runs one piece at a
+time, and a plan of a few big tiles gains little from threads.
 
 Neither a split node nor a tile builds a numpy Generator.  A split node
 re-keys the thread's shared Generator (`_rng.rekeyed`) and makes its
@@ -134,6 +135,12 @@ def split_quadrant_counts(
     return (n_a, n_b, n_c, rest - n_c)
 
 
+def _owned_rows(plan: PartitionPlan, part: int) -> tuple[int, int]:
+    if not 0 <= part < len(plan.owner_rows):
+        raise ValueError(f"part must be in [0, {len(plan.owner_rows)}), got {part}")
+    return plan.owner_rows[part]
+
+
 def plan_tiles(plan: PartitionPlan, params: RmatParams, part: int = 0) -> list[TileCount]:
     """Edge counts for every tile owned by `part`, zero-count tiles included.
 
@@ -144,9 +151,7 @@ def plan_tiles(plan: PartitionPlan, params: RmatParams, part: int = 0) -> list[T
     always key distinct streams.  A part owning more than MAX_PLAN_TILES
     tiles raises PlanTooLarge before the walk starts.
     """
-    if not 0 <= part < len(plan.owner_rows):
-        raise ValueError(f"part must be in [0, {len(plan.owner_rows)}), got {part}")
-    lo, hi = plan.owner_rows[part]
+    lo, hi = _owned_rows(plan, part)
     if (hi - lo) << plan.t > MAX_PLAN_TILES:
         raise PlanTooLarge(
             f"plan lists {(hi - lo) << plan.t} tiles, more than {MAX_PLAN_TILES}; "
@@ -250,57 +255,40 @@ def _batch(comp, tiles: list[TileCount], k: int, t: int, seed: int,
             outbound.done.set()
 
 
-def generate_tile(
-    tile: TileCount | tuple[int, int],
-    count: int,
-    table: FragmentTable,
-    k: int,
-    t: int,
-    seed: int,
-) -> np.ndarray:
-    """Generate `count` edges inside one tile.
-
-    The tile prefix fixes the top t bits of both endpoints; the remaining
-    k - t bits come from the standard emission loop, whose self-similar
-    recursion makes the conditional in-tile distribution equal to a
-    2^(k-t)-node R-MAT process.
-    """
-    if isinstance(tile, TileCount):
-        row, col = tile.tile_row, tile.tile_col
-    else:
-        row, col = tile
-    if not 0 <= t <= min(k, MAX_TILE_BITS):
-        raise ValueError(f"t must be in [0, min(k, {MAX_TILE_BITS})], got {t}")
-    if not (0 <= row < 1 << t and 0 <= col < 1 << t):
-        raise ValueError(f"tile ({row}, {col}) outside the 2^{t} grid")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    tc = TileCount(tile_row=row, tile_col=col, count=count)
-    total, units = _units(_compile(table), [tc], k, t, seed)
-    return _collect(total, _stream_units(len(units), units, 1))[0]
-
-
-def _part_stream(plan, params, table, part, threads, tiles) -> tuple[list, int, Iterator]:
-    """The part's tile counts, their edge total, and the stream of its batches."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    _check_model(table, params)
-    if tiles is None:
-        tiles = plan_tiles(plan, params, part)
-    total, units = _units(_compile(table), tiles, plan.k, plan.t, plan.seed)
-    return tiles, total, _stream_units(len(units), units, threads)
+def _check_tiles(plan: PartitionPlan, part: int, tiles: list[TileCount]) -> None:
+    """Reject given tiles that the part could not have planned."""
+    lo, hi = _owned_rows(plan, part)  # owner rows lie in [0, 2^t), so rows need no grid check
+    seen = set()
+    for tc in tiles:
+        row, col = tc.tile_row, tc.tile_col
+        if not (lo <= row < hi and 0 <= col < 1 << plan.t):
+            raise ValueError(f"tile ({row}, {col}) outside part {part}'s rows [{lo}, {hi}) "
+                             f"of the 2^{plan.t} grid")
+        if tc.count < 0:
+            raise ValueError(f"tile ({row}, {col}) count must be >= 0, got {tc.count}")
+        if (row, col) in seen:
+            raise ValueError(f"tile ({row}, {col}) listed twice")
+        seen.add((row, col))
 
 
 def generate_part_stream(
     plan: PartitionPlan, params: RmatParams, table: FragmentTable,
     part: int = 0, threads: int = 1, tiles: list[TileCount] | None = None,
 ) -> Iterator[tuple[np.ndarray, int]]:
-    """generate_part's (edges, samples), one batch of tiles at a time; plans the part first.
+    """generate_part's (edges, samples), one batch of tiles at a time; checks its inputs first.
 
     A batch holds about a block of edges, at most two blocks less one.
     tiles is as in generate_part.
     """
-    return _part_stream(plan, params, table, part, threads, tiles)[2]
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    _check_model(table, params)
+    if tiles is None:
+        tiles = plan_tiles(plan, params, part)
+    else:
+        _check_tiles(plan, part, tiles)
+    _, units = _units(_compile(table), tiles, plan.k, plan.t, plan.seed)
+    return _stream_units(len(units), units, threads)
 
 
 def generate_part(
@@ -316,8 +304,13 @@ def generate_part(
     Returns (edges, tile counts, alias samples consumed).  The table is
     compiled once and reused across tiles.  Tile batches run on up to
     `threads` threads without changing the bytes.  tiles, when given, is
-    the part's `plan_tiles` result, which is then not planned again.
+    the part's `plan_tiles` result, which is then not planned again; a
+    tile outside the 2^t grid or the part's rows, listed twice or with a
+    negative count raises ValueError before any unit runs.
     """
-    tiles, total, units = _part_stream(plan, params, table, part, threads, tiles)
-    edges, samples = _collect(total, units)
+    if tiles is None:
+        _check_model(table, params)  # before planning, not only before filling
+        tiles = plan_tiles(plan, params, part)
+    units = generate_part_stream(plan, params, table, part, threads, tiles)
+    edges, samples = _collect(sum(tc.count for tc in tiles), units)
     return edges, tiles, samples

@@ -13,6 +13,7 @@ from rmatgen import (
     GRAPH500,
     GenConfig,
     build_variable_table,
+    dedup_local,
     default_plan,
     dump_table,
     generate_part,
@@ -310,6 +311,10 @@ def test_table_dump_matches_library(capsys):
         ["generate", "-k", "63", "-m", "10", "--format", "none"],
         ["generate", "-k", "4", "-m", "10"],
         ["generate", "-k", "4", "-m", "10", "--format", "none", "-o", "x.bin"],
+        ["generate", "-k", "10", "-m", "1000", "--table", "fixed", "--depth", "4",
+         "--depth-cap", "3", "--format", "none"],
+        ["verify", "-k", "4", "-m", "1000", "--table", "fixed", "--depth", "2",
+         "--depth-cap", "3"],
     ],
 )
 def test_inconsistent_options_exit_2(argv, capsys):
@@ -342,7 +347,7 @@ def test_dedup_beyond_memory_exits_2_before_generating(tmp_path, capsys, monkeyp
     def unreachable(*args, **kwargs):
         raise AssertionError("generated edges")
 
-    for name in ("generate_result", "generate_stream", "generate_part", "generate_part_stream"):
+    for name in ("generate_stream", "generate_part_stream", "_collect"):
         monkeypatch.setattr(cli_mod, name, unreachable)
     monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 1000 * cli_mod.DEDUP_BYTES_PER_EDGE - 1)
     rc = main(["generate", "-k", "8", "-m", "1000", "--dedup", *tiles, "-o", str(tmp_path / "x.bin")])
@@ -454,13 +459,15 @@ def test_generate_into_missing_directory_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_generate_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
-    # --dedup holds every edge, so it is the path that calls generate_result.
-    def exhausted(config):
+@pytest.mark.parametrize("tiles", [[], ["--tiles", "2"]], ids=["untiled", "tiled"])
+def test_generate_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, tiles):
+    # --dedup gathers every edge; the kernel runs out of memory while it does.
+    def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(cli_mod, "generate_result", exhausted)
-    rc = main(["generate", "-k", "4", "-m", "10", "--dedup", "-o", str(tmp_path / "x.bin")])
+    monkeypatch.setattr(generator, "_emit_words", exhausted)
+    rc = main(["generate", "-k", "4", "-m", "10", "--dedup", *tiles,
+               "-o", str(tmp_path / "x.bin")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: out of memory")
     assert list(tmp_path.iterdir()) == []
@@ -507,7 +514,7 @@ def test_generate_out_of_memory_in_a_thread_exits_2(tmp_path, capsys, monkeypatc
 STREAM_PARAMS = validate(*GRAPH500, k=16)
 
 
-def library_edges(tiles, threads):
+def library_edges(tiles, threads, dedup):
     table = build_variable_table(STREAM_PARAMS, 8191)
     if tiles:
         plan = default_plan(16, 2, 300_000, 5)
@@ -516,22 +523,28 @@ def library_edges(tiles, threads):
         config = GenConfig(params=STREAM_PARAMS, table=table, seed=5, threads=threads,
                            edge_count=3 * DEFAULT_BLOCK_SIZE + 123)
         edges = generate_result(config).edges
-    return scramble_edges(to_undirected(edges), make_scramble_key(5, 16))
+    edges = to_undirected(edges)
+    if dedup:
+        edges = dedup_local(edges)
+    return scramble_edges(edges, make_scramble_key(5, 16))
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("fmt", ["binary", "text"])
-@pytest.mark.parametrize("tiles", [False, True], ids=["untiled", "tiled"])
-def test_streamed_file_matches_library_arrays(tmp_path, monkeypatch, tiles, fmt, threads):
+@pytest.mark.parametrize("tiles,dedup",
+                         [(False, False), (True, False), (False, True), (True, True)],
+                         ids=["untiled", "tiled", "untiled-dedup", "tiled-dedup"])
+def test_streamed_file_matches_library_arrays(tmp_path, monkeypatch, tiles, dedup, fmt, threads):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     if tiles:  # the largest tile holds more than a block, so it is cut into pieces
         counts = [tc.count for tc in plan_tiles(default_plan(16, 2, 300_000, 5), STREAM_PARAMS)]
         assert max(counts) > DEFAULT_BLOCK_SIZE
     path = tmp_path / "e.out"
-    ref = library_edges(tiles, int(threads))
-    size = ["-m", "300000", "--tiles", "2"] if tiles else ["-m", str(len(ref))]
+    ref = library_edges(tiles, int(threads), dedup)
+    size = ["-m", "300000", "--tiles", "2"] if tiles else ["-m", str(3 * DEFAULT_BLOCK_SIZE + 123)]
     rc = main(["generate", "-k", "16", *size, "--seed", "5", "--undirected", "--scramble",
-               "--threads", threads, "--format", fmt, "-o", str(path)])
+               *(["--dedup"] if dedup else []), "--threads", threads, "--format", fmt,
+               "-o", str(path)])
     assert rc == 0
     want = savetxt_bytes(ref) if fmt == "text" else ref.astype("<u8").tobytes()
     assert path.read_bytes() == want

@@ -24,7 +24,6 @@ from rmatgen import (
     exact_cell_probs,
     generate_part,
     generate_part_stream,
-    generate_tile,
     plan_tiles,
     pool_small_cells,
     split_quadrant_counts,
@@ -188,9 +187,15 @@ def test_partition_plan_rejects_bad_geometry(kwargs):
 # --------------------------------------------------------------------- tiles
 
 
+def fill_tile(tc, table, k, t, seed):
+    # A one-part plan owns every tile row, so it may be given any tile of the grid.
+    plan = default_plan(k=k, t=t, m=tc.count, seed=seed)
+    return generate_part(plan, params_for(G500, k), table, tiles=[tc])[0]
+
+
 def test_tile_fully_resolved_prefix_repeats_one_cell():
     table = variable_table(G500, 3, 253)
-    edges = generate_tile((5, 2), 7, table, k=3, t=3, seed=9)
+    edges = fill_tile(TileCount(5, 2, 7), table, k=3, t=3, seed=9)
     assert edges.tolist() == [[5, 2]] * 7
 
 
@@ -198,7 +203,7 @@ def test_tile_empty_prefix_matches_exact_distribution():
     k, m = 3, 2 * 10**5
     params = params_for(G500, k)
     table = variable_table(G500, k, 253)
-    edges = generate_tile((0, 0), m, table, k=k, t=0, seed=21)
+    edges = fill_tile(TileCount(0, 0, m), table, k=k, t=0, seed=21)
     result = chi_square(cell_histogram(edges, k), exact_cell_probs(params, k))
     assert result.passed, f"stat={result.statistic:.1f} thr={result.threshold:.1f}"
 
@@ -208,7 +213,7 @@ def test_tile_edges_stay_inside_tile():
     table = variable_table(G500, k, 253)
     inner = k - t
     for row, col in [(0, 0), (3, 7), (7, 1)]:
-        edges = generate_tile((row, col), 2000, table, k=k, t=t, seed=14)
+        edges = fill_tile(TileCount(row, col, 2000), table, k=k, t=t, seed=14)
         assert len(edges) == 2000
         assert np.all(edges[:, 0] >> inner == row)
         assert np.all(edges[:, 1] >> inner == col)
@@ -219,7 +224,7 @@ def test_tile_conditional_distribution_is_self_similar():
     k, t, count = 5, 2, 60000
     inner = k - t
     table = variable_table(G500, k, 253)
-    edges = generate_tile((2, 1), count, table, k=k, t=t, seed=8)
+    edges = fill_tile(TileCount(2, 1, count), table, k=k, t=t, seed=8)
     mask = np.uint64((1 << inner) - 1)
     local = np.column_stack([edges[:, 0] & mask, edges[:, 1] & mask])
     inner_params = params_for(G500, inner)
@@ -230,22 +235,39 @@ def test_tile_conditional_distribution_is_self_similar():
 def test_tile_deterministic_and_tile_keyed():
     k, t = 8, 2
     table = variable_table(G500, k, 253)
-    a = generate_tile((1, 2), 500, table, k=k, t=t, seed=3)
-    b = generate_tile((1, 2), 500, table, k=k, t=t, seed=3)
-    c = generate_tile((2, 1), 500, table, k=k, t=t, seed=3)
+    a = fill_tile(TileCount(1, 2, 500), table, k=k, t=t, seed=3)
+    b = fill_tile(TileCount(1, 2, 500), table, k=k, t=t, seed=3)
+    c = fill_tile(TileCount(2, 1, 500), table, k=k, t=t, seed=3)
     mask = np.uint64((1 << (k - t)) - 1)
     assert np.array_equal(a, b)
     assert not np.array_equal(a & mask, c & mask)
 
 
-def test_tile_validation_errors():
-    table = variable_table(G500, 4, 253)
-    with pytest.raises(ValueError):
-        generate_tile((0, 0), 1, table, k=4, t=5, seed=0)
-    with pytest.raises(ValueError):
-        generate_tile((4, 0), 1, table, k=4, t=2, seed=0)
-    with pytest.raises(ValueError):
-        generate_tile((0, 0), -1, table, k=4, t=2, seed=0)
+def test_tile_validation_errors(monkeypatch):
+    # Given tiles are checked where they enter, before a batch is formed.
+    def unreachable(*args):
+        raise AssertionError("batched a rejected tile")
+
+    params, table = params_for(G500, 6), variable_table(G500, 6, 253)
+    plan = default_plan(6, 2, 100, 1, parts=2)  # part 0 owns tile rows [0, 2)
+    good = [TileCount(1, 3, 40), TileCount(0, 0, 25)]
+    assert len(generate_part(plan, params, table, tiles=good)[0]) == 65
+    monkeypatch.setattr(partition_mod, "_units", unreachable)
+    cases = [
+        (0, [TileCount(4, 0, 3)], r"tile \(4, 0\) outside part 0's rows \[0, 2\) of the 2\^2"),
+        (0, [TileCount(0, 4, 3)], r"tile \(0, 4\) outside part 0's rows \[0, 2\) of the 2\^2"),
+        (0, [TileCount(-1, 0, 3)], r"tile \(-1, 0\) outside"),
+        (0, [*good, TileCount(3, 3, 2)], r"tile \(3, 3\) outside part 0's rows \[0, 2\)"),
+        (1, [TileCount(1, 0, 2)], r"tile \(1, 0\) outside part 1's rows \[2, 4\)"),
+        (0, [*good, TileCount(1, 3, 1)], r"tile \(1, 3\) listed twice"),
+        (0, [TileCount(0, 1, -1)], r"tile \(0, 1\) count must be >= 0, got -1"),
+        (2, [TileCount(0, 1, 1)], r"part must be in \[0, 2\)"),
+    ]
+    for part, tiles, match in cases:
+        with pytest.raises(ValueError, match=match):
+            generate_part(plan, params, table, part=part, tiles=tiles)
+        with pytest.raises(ValueError, match=match):
+            generate_part_stream(plan, params, table, part=part, tiles=tiles)
 
 
 # --------------------------------------------------------------------- parts
@@ -378,7 +400,7 @@ def test_generate_part_equals_per_tile_generation(kind, k, t, m, parts, part):
     table = fixed_table(G500, k, 5) if kind == "fixed" else variable_table(G500, k, 253)
     plan = default_plan(k=k, t=t, m=m, seed=5, parts=parts)
     edges, tiles, _ = generate_part(plan, params, table, part=part)
-    each = [generate_tile(tc, tc.count, table, k=k, t=t, seed=5) for tc in tiles]
+    each = [fill_tile(tc, table, k=k, t=t, seed=5) for tc in tiles]
     assert edges.shape == (sum(tc.count for tc in tiles), 2)
     assert np.array_equal(edges, np.concatenate(each))
 
