@@ -35,6 +35,8 @@ import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,9 +48,9 @@ from .table import FragmentTable, _check_model
 #: Tile coordinates are packed into one 64-bit stream key as (row << t) | col.
 MAX_TILE_BITS = 31
 
-#: Most tiles one part's plan may list.  plan_tiles holds a Python
-#: TileCount per tile, and a split node per tile besides; past t=6 at
-#: k=20, m=2^22 that work already outweighs the samples it saves.
+#: Most tiles one part's plan may list.  plan_tiles returns a Python
+#: TileCount per tile; past t=6 at k=20, m=2^22 the work per tile already
+#: outweighs the samples it saves.
 MAX_PLAN_TILES = 1 << 20
 
 
@@ -56,11 +58,26 @@ class PlanTooLarge(ValueError):
     """A part's plan would list more than MAX_PLAN_TILES tiles."""
 
 
-@dataclass(frozen=True)
-class TileCount:
+class TileCount(NamedTuple):
     tile_row: int
     tile_col: int
     count: int
+
+
+#: TileCount's fields as one record: the tile arrays that _units, _batch
+#: and _check_tiles read are record arrays of this dtype.
+_CELL = np.dtype([("tile_row", np.int64), ("tile_col", np.int64), ("count", np.int64)])
+
+
+def _cells(tiles) -> np.recarray:
+    """tiles as a record array with TileCount's fields; an array is returned as it is."""
+    if isinstance(tiles, np.ndarray):
+        return tiles
+    try:
+        flat = np.fromiter(chain.from_iterable(tiles), np.int64, 3 * len(tiles))
+    except OverflowError:
+        raise ValueError("tile rows, columns and counts must fit in int64") from None
+    return flat.view(_CELL).view(np.recarray)
 
 
 @dataclass(frozen=True)
@@ -80,8 +97,8 @@ class PartitionPlan:
     def __post_init__(self) -> None:
         if not 0 <= self.t <= min(self.k, MAX_TILE_BITS):
             raise ValueError(f"t must be in [0, min(k, {MAX_TILE_BITS})], got {self.t}")
-        if self.m < 0:
-            raise ValueError(f"m must be >= 0, got {self.m}")
+        if not 0 <= self.m < 1 << 63:
+            raise ValueError(f"m must be in [0, 2**63), got {self.m}")
         rows = 1 << self.t
         pos = 0
         for lo, hi in self.owner_rows:
@@ -144,12 +161,12 @@ def _owned_rows(plan: PartitionPlan, part: int) -> tuple[int, int]:
 def plan_tiles(plan: PartitionPlan, params: RmatParams, part: int = 0) -> list[TileCount]:
     """Edge counts for every tile owned by `part`, zero-count tiles included.
 
-    Walks the recursion tree from the whole matrix down to single tiles,
-    splitting counts at each node and pruning subtrees whose tile rows lie
-    outside the part's range.  The recursion path is encoded as the
-    interleaved digit string with a leading 1 sentinel, so distinct nodes
-    always key distinct streams.  A part owning more than MAX_PLAN_TILES
-    tiles raises PlanTooLarge before the walk starts.
+    Walks the recursion tree level by level from the whole matrix down to
+    single tiles, splitting counts at each node and pruning subtrees whose
+    tile rows lie outside the part's range.  The recursion path is encoded
+    as the interleaved digit string with a leading 1 sentinel, so distinct
+    nodes always key distinct streams.  A part owning more than
+    MAX_PLAN_TILES tiles raises PlanTooLarge before the walk starts.
     """
     lo, hi = _owned_rows(plan, part)
     if (hi - lo) << plan.t > MAX_PLAN_TILES:
@@ -157,22 +174,28 @@ def plan_tiles(plan: PartitionPlan, params: RmatParams, part: int = 0) -> list[T
             f"plan lists {(hi - lo) << plan.t} tiles, more than {MAX_PLAN_TILES}; "
             "lower t or split the rows over more parts"
         )
-    out: list[TileCount] = []
-
-    def rec(level: int, row0: int, col0: int, code: int, count: int) -> None:
-        if level == plan.t:
-            out.append(TileCount(tile_row=row0, tile_col=col0, count=count))
-            return
+    # One level of the tree at a time, its nodes' recursion paths, corners
+    # and counts as arrays.  Children follow their parents in digit order, so
+    # every level, the last too, lists its nodes as a depth-first walk meets them.
+    code = np.ones(1, dtype=np.int64)
+    row = np.zeros(1, dtype=np.int64)
+    col = np.zeros(1, dtype=np.int64)
+    count = np.array([plan.m], dtype=np.int64)
+    digit = np.arange(4)
+    for level in range(plan.t):
         half = 1 << (plan.t - level - 1)
-        splits = split_quadrant_counts(count, params, (plan.seed, code))
-        for digit, n in enumerate(splits):
-            r0 = row0 + (digit >> 1) * half
-            if r0 + half <= lo or r0 >= hi:
-                continue
-            rec(level + 1, r0, col0 + (digit & 1) * half, (code << 2) | digit, n)
-
-    rec(0, 0, 0, 1, plan.m)
-    return out
+        live = np.flatnonzero(count)
+        splits = np.zeros((len(count), 4), dtype=np.int64)
+        splits[live] = np.reshape([split_quadrant_counts(n, params, (plan.seed, path))
+                                   for n, path in zip(count[live].tolist(), code[live].tolist())],
+                                  (-1, 4))
+        rows = row[:, None] + (digit >> 1) * half
+        owned = (rows + half > lo) & (rows < hi)
+        code = ((code[:, None] << 2) | digit)[owned]
+        row = rows[owned]
+        col = (col[:, None] + (digit & 1) * half)[owned]
+        count = splits[owned]
+    return list(map(TileCount, row.tolist(), col.tolist(), count.tolist()))
 
 
 class _Handoff:
@@ -189,7 +212,7 @@ class _Handoff:
         self.done = threading.Event()
 
 
-def _units(comp, tiles: list[TileCount], k: int, t: int, seed: int) -> tuple[int, list]:
+def _units(comp, tiles, k: int, t: int, seed: int) -> tuple[int, list]:
     """The edge count of `tiles` and the batches that fill it, in order.
 
     A batch is a run of non-empty tiles that closes once it holds a block,
@@ -198,29 +221,37 @@ def _units(comp, tiles: list[TileCount], k: int, t: int, seed: int) -> tuple[int
     each later one but the last is a batch of one block, and the last
     opens the next batch.  No batch holds two blocks.  The pieces of a tile
     share its stream, which each batch hands to the next once the kernel
-    has left its carry on it.
+    has left its carry on it.  Each batch is a record array of its pieces,
+    cut from the tile array by one search per batch.
     """
+    cells = _cells(tiles)
+    cells = cells[cells.count > 0]
+    ends = np.cumsum(cells.count)
+    starts = ends - cells.count
+    total = int(ends[-1]) if len(ends) else 0
     units: list = []
-    batch: list[TileCount] = []
-    lo = pos = 0
+    lo = first = 0
     inbound = None
-    for tc in tiles:
-        left = tc.count
-        while left:
-            take = left if left <= DEFAULT_BLOCK_SIZE else DEFAULT_BLOCK_SIZE - (pos - lo)
-            batch.append(tc if take == tc.count else TileCount(tc.tile_row, tc.tile_col, take))
-            left -= take
-            pos += take
-            if pos - lo >= DEFAULT_BLOCK_SIZE:
-                outbound = _Handoff() if left else None
-                units.append(partial(_batch, comp, batch, k, t, seed, inbound, outbound))
-                batch, lo, inbound = [], pos, outbound
-    if batch:
-        units.append(partial(_batch, comp, batch, k, t, seed, inbound, None))
-    return pos, units
+    while lo < total:
+        # The batch closes with the first tile that reaches a block, or with
+        # that tile's first piece when more than a block of it is left.
+        last = int(np.searchsorted(ends, lo + DEFAULT_BLOCK_SIZE))
+        if last == len(ends):
+            last, close = last - 1, total
+        else:
+            close = int(ends[last])
+            if close - max(int(starts[last]), lo) > DEFAULT_BLOCK_SIZE:
+                close = lo + DEFAULT_BLOCK_SIZE
+        batch = cells[first : last + 1].copy()
+        batch["count"] = (np.minimum(ends[first : last + 1], close)
+                          - np.maximum(starts[first : last + 1], lo))
+        outbound = _Handoff() if close < ends[last] else None
+        units.append(partial(_batch, comp, batch, k, t, seed, inbound, outbound))
+        lo, first, inbound = close, last if outbound else last + 1, outbound
+    return total, units
 
 
-def _batch(comp, tiles: list[TileCount], k: int, t: int, seed: int,
+def _batch(comp, tiles: np.recarray, k: int, t: int, seed: int,
            inbound: _Handoff | None, outbound: _Handoff | None) -> tuple[np.ndarray, int]:
     """Edges of a batch of tile pieces back to back, from one kernel call.
 
@@ -229,46 +260,53 @@ def _batch(comp, tiles: list[TileCount], k: int, t: int, seed: int,
     outbound, which is marked done also when this batch fails.
     """
     try:
-        segments = [(tc.count, Stream(seed, DOMAIN_TILE, (tc.tile_row << t) | tc.tile_col))
-                    for tc in tiles]
+        keys = ((tiles.tile_row << t) | tiles.tile_col).tolist()
+        streams = [Stream(seed, DOMAIN_TILE, key) for key in keys]
         if inbound is not None:
             inbound.done.wait()
             if inbound.stream is None:
                 raise RuntimeError("the batch before this one failed")
-            segments[0] = (tiles[0].count, inbound.stream)
+            streams[0] = inbound.stream
         inner = k - t
-        prefix = np.array([(tc.tile_row, tc.tile_col) for tc in tiles], dtype=np.uint64)
+        prefix = np.column_stack([tiles.tile_row, tiles.tile_col]).astype(np.uint64)
         prefix <<= np.uint64(inner)
-        counts = [tc.count for tc in tiles]
         if inner:
-            edges, used = _emit_general(comp, inner, segments)
+            edges, used = _emit_general(comp, inner, list(zip(tiles.count.tolist(), streams)))
             # Repeated after the kernel, into pages its chunks have just freed:
             # repeated before it, tiled-part took 30k page faults, not 14k.
-            edges |= np.repeat(prefix, counts, axis=0)
+            edges |= np.repeat(prefix, tiles.count, axis=0)
         else:
-            edges, used = np.repeat(prefix, counts, axis=0), 0
+            edges, used = np.repeat(prefix, tiles.count, axis=0), 0
         if outbound is not None:
-            outbound.stream = segments[-1][1]
+            outbound.stream = streams[-1]
         return edges, used
     finally:
         if outbound is not None:
             outbound.done.set()
 
 
-def _check_tiles(plan: PartitionPlan, part: int, tiles: list[TileCount]) -> None:
-    """Reject given tiles that the part could not have planned."""
+def _check_tiles(plan: PartitionPlan, part: int, cells: np.recarray) -> None:
+    """Reject given tiles that the part could not have planned, naming the first in list order."""
     lo, hi = _owned_rows(plan, part)  # owner rows lie in [0, 2^t), so rows need no grid check
-    seen = set()
-    for tc in tiles:
-        row, col = tc.tile_row, tc.tile_col
-        if not (lo <= row < hi and 0 <= col < 1 << plan.t):
-            raise ValueError(f"tile ({row}, {col}) outside part {part}'s rows [{lo}, {hi}) "
-                             f"of the 2^{plan.t} grid")
-        if tc.count < 0:
-            raise ValueError(f"tile ({row}, {col}) count must be >= 0, got {tc.count}")
-        if (row, col) in seen:
-            raise ValueError(f"tile ({row}, {col}) listed twice")
-        seen.add((row, col))
+    row, col = cells.tile_row, cells.tile_col
+    outside = (row < lo) | (row >= hi) | (col < 0) | (col >= 1 << plan.t)
+    # Keys are distinct inside the grid; a tile outside it may share a key
+    # with another, but it is reported before any tile after it.
+    key = (row << plan.t) | col
+    order = np.argsort(key, kind="stable")
+    again = np.zeros(len(key), dtype=bool)
+    again[order[1:]] = key[order[1:]] == key[order[:-1]]
+    bad = np.flatnonzero(outside | (cells.count < 0) | again)
+    if not len(bad):
+        return
+    i = int(bad[0])
+    row, col, count = int(row[i]), int(col[i]), int(cells.count[i])
+    if outside[i]:
+        raise ValueError(f"tile ({row}, {col}) outside part {part}'s rows [{lo}, {hi}) "
+                         f"of the 2^{plan.t} grid")
+    if count < 0:
+        raise ValueError(f"tile ({row}, {col}) count must be >= 0, got {count}")
+    raise ValueError(f"tile ({row}, {col}) listed twice")
 
 
 def generate_part_stream(
@@ -283,11 +321,10 @@ def generate_part_stream(
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     _check_model(table, params)
-    if tiles is None:
-        tiles = plan_tiles(plan, params, part)
-    else:
-        _check_tiles(plan, part, tiles)
-    _, units = _units(_compile(table), tiles, plan.k, plan.t, plan.seed)
+    cells = _cells(plan_tiles(plan, params, part) if tiles is None else tiles)
+    if tiles is not None:
+        _check_tiles(plan, part, cells)
+    _, units = _units(_compile(table), cells, plan.k, plan.t, plan.seed)
     return _stream_units(len(units), units, threads)
 
 

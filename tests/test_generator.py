@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 from rmatgen import (
+    DEFAULT_BLOCK_SIZE,
     BadExponent,
     GenConfig,
     cell_histogram,
     chi_square,
+    default_plan,
     emit_block,
     exact_cell_probs,
     generate,
+    generate_part,
     generate_result,
     naive_edge,
     naive_edges,
@@ -522,6 +525,36 @@ def test_top_up_draws_in_later_chunks(tag, monkeypatch):
     assert used == ref_used
     assert (got == ref).all()
     assert len(draws) > 2 * -(-1000 // 97)
+
+
+def test_draws_sized_to_the_depth_spread(monkeypatch):
+    # A piece's first draw is its mean sample count plus a few standard
+    # deviations of it.  Words drawn per sample used stay near 1 on many
+    # small tiles (1.256 with a 5% + 16 words margin) and on a block
+    # (1.051), and a draw falls short, to be topped up, only rarely.
+    drawn, calls, pieces = [0], [0], [0]
+    words, emit_words = Stream.words, generator._emit_words
+
+    def counted(self, n):
+        drawn[0] += n
+        calls[0] += 1
+        return words(self, n)
+
+    def counted_pieces(comp, k, counts, streams, out):
+        pieces[0] += len(streams)
+        return emit_words(comp, k, counts, streams, out)
+
+    monkeypatch.setattr(Stream, "words", counted)
+    monkeypatch.setattr(generator, "_emit_words", counted_pieces)
+    table = variable_table(G500, 20, 8191)
+    plan = default_plan(k=20, t=8, m=2**20, seed=7, parts=4)
+    _, _, used = generate_part(plan, params_for(G500, 20), table, part=0)
+    assert drawn[0] < 1.10 * used
+    assert pieces[0] > 12_000 and calls[0] - pieces[0] <= pieces[0] // 1000
+    drawn[0] = calls[0] = pieces[0] = 0
+    _, used = _emit_general(_compile(table), 20, [(DEFAULT_BLOCK_SIZE, Stream(3, DOMAIN_BLOCK, 0))])
+    assert drawn[0] < 1.01 * used
+    assert calls[0] == pieces[0] == 4
 
 
 def test_kernel_scratch_scales_with_the_chunk():

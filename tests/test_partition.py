@@ -153,6 +153,35 @@ def test_plan_work_scales_with_owned_rows(t, parts, monkeypatch):
         assert calls[0] <= 4 * (hi - lo) * t
 
 
+def _plan_oracle(plan, params, part):
+    # The recursive walk plan_tiles replaced: depth first, one node a call.
+    lo, hi = plan.owner_rows[part]
+    out = []
+
+    def rec(level, row0, col0, code, count):
+        if level == plan.t:
+            out.append(TileCount(row0, col0, count))
+            return
+        half = 1 << (plan.t - level - 1)
+        for digit, n in enumerate(split_quadrant_counts(count, params, (plan.seed, code))):
+            r0 = row0 + (digit >> 1) * half
+            if r0 + half > lo and r0 < hi:
+                rec(level + 1, r0, col0 + (digit & 1) * half, (code << 2) | digit, n)
+
+    rec(0, 0, 0, 1, plan.m)
+    return out
+
+
+@pytest.mark.parametrize("k,t,m,parts", [(8, 0, 77, 1), (8, 3, 5, 3), (12, 5, 10**5, 3),
+                                         (20, 7, 2**20, 5), (40, 6, 300, 2)])
+def test_plan_matches_recursive_walk(k, t, m, parts):
+    # Small m leaves whole subtrees empty; odd part counts cut quadrants.
+    plan = default_plan(k=k, t=t, m=m, seed=13, parts=parts)
+    params = params_for(G500, k)
+    for part in range(parts):
+        assert plan_tiles(plan, params, part) == _plan_oracle(plan, params, part)
+
+
 def test_default_plan_balances_rows():
     plan = default_plan(k=5, t=3, m=10, seed=0, parts=3)
     sizes = [hi - lo for lo, hi in plan.owner_rows]
@@ -173,6 +202,7 @@ def test_default_plan_rejects_zero_parts():
         dict(k=4, t=-1, m=1, seed=0, owner_rows=((0, 1),)),
         dict(k=40, t=32, m=1, seed=0, owner_rows=((0, 1 << 32),)),
         dict(k=4, t=2, m=-1, seed=0, owner_rows=((0, 4),)),
+        dict(k=4, t=2, m=1 << 63, seed=0, owner_rows=((0, 4),)),
         dict(k=4, t=2, m=1, seed=0, owner_rows=((0, 2), (3, 4))),
         dict(k=4, t=2, m=1, seed=0, owner_rows=((0, 2), (1, 4))),
         dict(k=4, t=2, m=1, seed=0, owner_rows=((0, 3),)),
@@ -268,6 +298,73 @@ def test_tile_validation_errors(monkeypatch):
             generate_part(plan, params, table, part=part, tiles=tiles)
         with pytest.raises(ValueError, match=match):
             generate_part_stream(plan, params, table, part=part, tiles=tiles)
+
+
+def _check_oracle(plan, part, tiles):
+    # The tile check as one loop, the first bad tile in list order.
+    lo, hi = plan.owner_rows[part]
+    seen = set()
+    for row, col, count in tiles:
+        if not (lo <= row < hi and 0 <= col < 1 << plan.t):
+            return f"tile ({row}, {col}) outside part {part}'s rows [{lo}, {hi}) of the 2^{plan.t} grid"
+        if count < 0:
+            return f"tile ({row}, {col}) count must be >= 0, got {count}"
+        if (row, col) in seen:
+            return f"tile ({row}, {col}) listed twice"
+        seen.add((row, col))
+    return None
+
+
+def test_tile_check_names_the_first_bad_tile():
+    # Lists with several faults of every kind, some of them at once.
+    rng = np.random.default_rng(5)
+    plan = default_plan(k=10, t=3, m=100, seed=1, parts=3)  # rows [0, 3), [3, 6), [6, 8)
+    faults = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        tiles = [TileCount(int(r), int(c), int(n))
+                 for r, c, n in zip(rng.integers(-1, 9, n), rng.integers(-1, 9, n),
+                                    rng.integers(-2, 5, n))]
+        want = _check_oracle(plan, 1, tiles)
+        faults += want is not None
+        if want is None:
+            partition_mod._check_tiles(plan, 1, partition_mod._cells(tiles))
+        else:
+            with pytest.raises(ValueError) as err:
+                partition_mod._check_tiles(plan, 1, partition_mod._cells(tiles))
+            assert str(err.value) == want
+    assert faults > 250
+
+
+def _units_oracle(tiles):
+    # The batching loop _units replaced: the (row, col, count) pieces of each
+    # batch, and whether it hands a tile's stream on.
+    batches, batch = [], []
+    lo = pos = 0
+    for row, col, count in tiles:
+        left = count
+        while left:
+            take = left if left <= DEFAULT_BLOCK_SIZE else DEFAULT_BLOCK_SIZE - (pos - lo)
+            batch.append((row, col, take))
+            left -= take
+            pos += take
+            if pos - lo >= DEFAULT_BLOCK_SIZE:
+                batches.append((batch, bool(left)))
+                batch, lo = [], pos
+    if batch:
+        batches.append((batch, False))
+    return pos, batches
+
+
+@pytest.mark.parametrize("k,t,m", [(12, 3, 1_000_000), (20, 8, 2**20), (16, 1, 5 * DEFAULT_BLOCK_SIZE),
+                                   (14, 4, 3 * DEFAULT_BLOCK_SIZE), (6, 2, 0)])
+def test_units_match_the_batching_loop(k, t, m):
+    tiles = plan_tiles(default_plan(k=k, t=t, m=m, seed=3), params_for(G500, k))
+    total, units = partition_mod._units(None, tiles, k, t, 3)
+    want_total, want = _units_oracle(tiles)
+    got = [([tuple(int(x) for x in piece) for piece in unit.args[1]], unit.args[-1] is not None)
+           for unit in units]
+    assert (total, got) == (want_total, want)
 
 
 # --------------------------------------------------------------------- parts
@@ -438,6 +535,26 @@ def test_generate_part_depth1_bytes_pinned(samples, digest):
     edges, _, used = generate_part(plan, params_for(G500, k), table)
     got = hashlib.blake2b(edges.astype("<u8").tobytes(), digest_size=16).hexdigest()
     assert (len(edges), used, got) == (200_000, samples, digest)
+
+
+@pytest.mark.parametrize(
+    "kind,samples,digest",
+    [
+        ("variable", 919097, "6ac0bd9e7415ad6486b914fb0163805a"),
+        ("fixed", 1460166, "a159bda8a76e7bcc6b53b421558de4eb"),
+    ],
+    ids=["variable", "fixed"],
+)
+def test_generate_part_many_small_tiles_bytes_pinned(kind, samples, digest):
+    # 12,563 non-empty tiles of about 48 edges: each batch joins over a
+    # thousand streams, chunk cuts fall inside batches, and the pieces
+    # they cut resume from carries.
+    k = 20
+    table = fixed_table(G500, k, 5) if kind == "fixed" else variable_table(G500, k, 8191)
+    plan = default_plan(k=k, t=8, m=2**20, seed=7, parts=4)
+    edges, _, used = generate_part(plan, params_for(G500, k), table, part=0)
+    got = hashlib.blake2b(edges.astype("<u8").tobytes(), digest_size=16).hexdigest()
+    assert (len(edges), used, got) == (606149, samples, digest)
 
 
 def test_generate_part_batches_close_at_one_block(monkeypatch):
