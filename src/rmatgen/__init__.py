@@ -56,7 +56,6 @@ from .postprocess import (
     ScrambleKey,
     dedup_local,
     make_scramble_key,
-    mirrored,
     scramble,
     scramble_edges,
     to_undirected,
@@ -106,7 +105,7 @@ __all__ = [
     "default_plan", "generate_part", "generate_part_stream", "plan_tiles",
     "split_quadrant_counts",
     "EdgeOutsideDeclaredTile", "ScrambleKey", "dedup_local",
-    "make_scramble_key", "mirrored", "scramble", "scramble_edges",
+    "make_scramble_key", "scramble", "scramble_edges",
     "to_undirected",
     "MAX_ENUM_K", "CellHistogram", "ChiSquareResult", "DegreeStats",
     "KTooLargeForEnumeration", "SampleTooSmall", "cell_histogram",

@@ -19,14 +19,18 @@ call overhead, a stream drawn alone costs about 4-5 us more than the
 same words drawn as part of one stream (14,760 streams of 10 to 400
 words: 90 ms, against 16-26 ms for one draw of all their words):
 
-- A `Stream` is the handle the kernels take: the stream's key plus the
-  offset of the next word to draw.  Its draws give the same words as one
-  draw of the same total from `keyed_stream`, however they are cut.  It
-  also holds the word-stream kernel's carry, so one stream's edges can be
-  made in pieces, by any threads in turn.
-- Resuming at word p sets the counter to p // 4 with an empty buffer and
-  discards p % 4 words, because numpy's Philox steps the counter before
-  it fills each 4-word buffer.
+- A `Stream` is the handle the kernels take: the stream's key, a piece
+  index and the offset of the next word to draw.  Piece 0's draws give
+  the same words as one draw of the same total from `keyed_stream`,
+  however they are cut.  Piece p sits in the second of the counter's
+  four 64-bit words, so the pieces of one key are streams that no other
+  piece reaches before 2^66 words, and a big tile's pieces can be drawn
+  side by side (Salmon et al., "Parallel random numbers: as easy as 1,
+  2, 3", SC 2011).  A stream also holds the word-stream kernel's carry,
+  so one stream's edges can be made in chunks.
+- Resuming at word w sets the counter to (w // 4, piece, 0, 0) with an
+  empty buffer and discards w % 4 words, because numpy's Philox steps
+  the counter before it fills each 4-word buffer.
 - `rekeyed` hands out the thread's Generator keyed at the start of a
   stream, for callers that need its distributions (binomial splits).  It
   is valid only until the thread's next re-key.
@@ -66,8 +70,8 @@ def keyed_stream(seed: int, domain: int, payload: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _shared(key: tuple[int, int], counter: int) -> np.random.Generator:
-    """This thread's Generator, keyed to `key` with `counter` buffers drawn.
+def _shared(key: tuple[int, int], counter: int, piece: int = 0) -> np.random.Generator:
+    """This thread's Generator, keyed to `key` with `counter` buffers of `piece` drawn.
 
     Each re-key writes the counter and key into the thread's one state
     dict; its buffer fields never change, as the state is only written.
@@ -80,7 +84,7 @@ def _shared(key: tuple[int, int], counter: int) -> np.random.Generator:
         state = {"bit_generator": "Philox", "state": inner, "buffer": (0, 0, 0, 0),
                  "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         _local.philox = (gen, state, inner)
-    inner["counter"] = (counter, 0, 0, 0)
+    inner["counter"] = (counter, piece, 0, 0)
     inner["key"] = key
     gen.bit_generator.state = state
     return gen
@@ -96,24 +100,28 @@ def rekeyed(seed: int, domain: int, payload: int) -> np.random.Generator:
 
 
 class Stream:
-    """Handle on one keyed stream: its Philox key and the next word to draw.
+    """Handle on one keyed stream: its Philox key, piece and next word to draw.
 
-    carry is set by the word-stream kernel when it stops inside a fragment:
-    the fragment drawn at `pos` still has that many low bits to emit, and
-    the next call on this stream starts with them.
+    piece is the counter's second word: piece p of a key draws the words
+    numpy's Philox gives for that key from counter (0, p, 0, 0), and piece
+    0 is `keyed_stream`'s stream.  carry is set by the word-stream kernel
+    when it stops inside a fragment: the fragment drawn at `pos` still has
+    that many low bits to emit, and the next call on this stream starts
+    with them.
     """
 
-    __slots__ = ("key", "pos", "carry")
+    __slots__ = ("key", "piece", "pos", "carry")
 
-    def __init__(self, seed: int, domain: int, payload: int) -> None:
+    def __init__(self, seed: int, domain: int, payload: int, piece: int = 0) -> None:
         self.key = _key(seed, domain, payload)
+        self.piece = piece
         self.pos = 0
         self.carry = 0
 
     def words(self, n: int) -> np.ndarray:
         """The next n raw 64-bit words of the stream."""
         skip = self.pos & 3
-        raw = _shared(self.key, self.pos >> 2).bit_generator.random_raw(skip + n)
+        raw = _shared(self.key, self.pos >> 2, self.piece).bit_generator.random_raw(skip + n)
         self.pos += n
         return raw[skip:]
 

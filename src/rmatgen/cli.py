@@ -36,7 +36,7 @@ import numpy as np
 
 from .generator import DEFAULT_BLOCK_SIZE, GenConfig, _collect, generate_stream
 from .params import GRAPH500, RmatParams, validate
-from .partition import default_plan, generate_part_stream, plan_tiles
+from .partition import _plan_cells, default_plan, generate_part_stream
 from .postprocess import dedup_local, make_scramble_key, scramble_edges, to_undirected
 from .stats import MAX_ENUM_K, _cells, chi_square, exact_cell_probs, pool_small_cells
 from .table import (
@@ -259,9 +259,9 @@ def run_generate(config: RunConfig) -> int:
     tiles = None
     if config.tiles is not None:
         plan = default_plan(config.k, config.tiles, config.m, config.seed, config.parts)
-        tiles = plan_tiles(plan, params, config.part)
+        tiles = _plan_cells(plan, params, config.part)
     if config.dedup:
-        held = config.m if tiles is None else sum(tc.count for tc in tiles)
+        held = config.m if tiles is None else int(tiles.count.sum())
         need, have = held * DEDUP_BYTES_PER_EDGE, _physical_memory()
         if need > have:
             raise DedupTooLarge(

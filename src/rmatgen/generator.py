@@ -150,7 +150,6 @@ class _Compiled:
     """
 
     thr32: np.ndarray
-    alias: np.ndarray  # intp
     jump: np.ndarray  # intp
     depths: np.ndarray
     packed: np.ndarray | None  # (row_bits << 32) | col_bits for fixed tables
@@ -168,7 +167,6 @@ def _compile(table: FragmentTable) -> _Compiled:
     square = float(np.dot(table.probs, table.depths.astype(np.float64) ** 2))
     return _Compiled(
         thr32=np.ceil(table.sampler.threshold * 2.0**32).astype(np.uint64),
-        alias=alias,
         jump=alias - np.arange(len(alias)),
         depths=table.depths,
         # Equal depths need 4**depth entries, so a fixed table always packs.

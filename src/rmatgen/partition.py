@@ -8,16 +8,16 @@ needed.  Tiles are then filled locally on the remaining k - t index
 bits, each from its own stream keyed by (seed, tile coordinates).  The
 word-stream kernel joins the streams of many small tiles into one call
 of at least a block of edges, so its per-call cost is not paid per tile.
-A tile of more than a block is cut into pieces of a block, chained
-sub-segments of its one stream: each piece's batch waits for the batch
-before it to leave the kernel's carry on the stream, and the bytes are
-those of the uncut tile.  Each batch is one unit of the generator's
-in-order unit stream, on any number of threads: `generate_part_stream`,
-the one code that fills tiles, yields the units, and `generate_part`
-gathers them into one array.  Tiles given to either are checked first.
-The pool starts units in order, so a unit waiting for its predecessor
-never waits for one that has not started; a chain runs one piece at a
-time, and a plan of a few big tiles gains little from threads.
+A tile is cut from its start into pieces of a block; piece p draws from
+the tile's key with p in the Philox counter's second word (see
+`_rng.Stream`), so no piece waits for another, and the pieces of a big
+tile run side by side on threads.  Piece 0 draws the uncut tile's
+stream: a tile of at most a block, and the first block of a bigger one,
+have the bytes of one unsplit call.  A batch of whole pieces is one unit
+of the generator's in-order unit stream, on any number of threads:
+`generate_part_stream`, the one code that fills tiles, yields the units,
+and `generate_part` gathers them into one array.  Tiles given to either
+are checked first.
 
 Neither a split node nor a tile builds a numpy Generator.  A split node
 re-keys the thread's shared Generator (`_rng.rekeyed`) and makes its
@@ -31,7 +31,6 @@ with the whole grid.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
@@ -64,8 +63,8 @@ class TileCount(NamedTuple):
     count: int
 
 
-#: TileCount's fields as one record: the tile arrays that _units, _batch
-#: and _check_tiles read are record arrays of this dtype.
+#: TileCount's fields as one record: the tile arrays that _plan_cells
+#: returns and _units, _batch and _check_tiles read have this dtype.
 _CELL = np.dtype([("tile_row", np.int64), ("tile_col", np.int64), ("count", np.int64)])
 
 
@@ -168,6 +167,13 @@ def plan_tiles(plan: PartitionPlan, params: RmatParams, part: int = 0) -> list[T
     nodes always key distinct streams.  A part owning more than
     MAX_PLAN_TILES tiles raises PlanTooLarge before the walk starts.
     """
+    cells = _plan_cells(plan, params, part)
+    return list(map(TileCount, cells.tile_row.tolist(), cells.tile_col.tolist(),
+                    cells.count.tolist()))
+
+
+def _plan_cells(plan: PartitionPlan, params: RmatParams, part: int) -> np.recarray:
+    """plan_tiles's tiles as one record array of dtype _CELL, in the same order."""
     lo, hi = _owned_rows(plan, part)
     if (hi - lo) << plan.t > MAX_PLAN_TILES:
         raise PlanTooLarge(
@@ -195,34 +201,19 @@ def plan_tiles(plan: PartitionPlan, params: RmatParams, part: int = 0) -> list[T
         row = rows[owned]
         col = (col[:, None] + (digit & 1) * half)[owned]
         count = splits[owned]
-    return list(map(TileCount, row.tolist(), col.tolist(), count.tolist()))
-
-
-class _Handoff:
-    """A split tile's stream, passed from the unit that emits one piece to the unit with the next.
-
-    The next unit waits for `done`; `stream` stays None when the unit
-    before failed.
-    """
-
-    __slots__ = ("stream", "done")
-
-    def __init__(self) -> None:
-        self.stream: Stream | None = None
-        self.done = threading.Event()
+    return np.rec.fromarrays([row, col, count], dtype=_CELL)
 
 
 def _units(comp, tiles, k: int, t: int, seed: int) -> tuple[int, list]:
     """The edge count of `tiles` and the batches that fill it, in order.
 
-    A batch is a run of non-empty tiles that closes once it holds a block,
-    so one kernel call serves many small tiles.  A tile of more than a
-    block is cut into pieces: the first fills its batch to exactly a block,
-    each later one but the last is a batch of one block, and the last
-    opens the next batch.  No batch holds two blocks.  The pieces of a tile
-    share its stream, which each batch hands to the next once the kernel
-    has left its carry on it.  Each batch is a record array of its pieces,
-    cut from the tile array by one search per batch.
+    Each tile is cut from its start into pieces of a block.  A batch is a
+    run of whole pieces that closes once it holds a block, so one kernel
+    call serves many small tiles and no batch holds two blocks.  Every
+    piece but a tile's first follows a full block of its tile, which
+    closed the batch before it, so only a batch's first entry can be a
+    later piece: a batch is a record array of its pieces, cut from the
+    tile array by one search, and the piece index of its first entry.
     """
     cells = _cells(tiles)
     cells = cells[cells.count > 0]
@@ -231,58 +222,43 @@ def _units(comp, tiles, k: int, t: int, seed: int) -> tuple[int, list]:
     total = int(ends[-1]) if len(ends) else 0
     units: list = []
     lo = first = 0
-    inbound = None
     while lo < total:
-        # The batch closes with the first tile that reaches a block, or with
-        # that tile's first piece when more than a block of it is left.
+        # The batch closes with the first tile that reaches a block, at the
+        # end of that tile's piece which starts in the batch.
         last = int(np.searchsorted(ends, lo + DEFAULT_BLOCK_SIZE))
         if last == len(ends):
             last, close = last - 1, total
         else:
-            close = int(ends[last])
-            if close - max(int(starts[last]), lo) > DEFAULT_BLOCK_SIZE:
-                close = lo + DEFAULT_BLOCK_SIZE
+            close = min(int(ends[last]), max(int(starts[last]), lo) + DEFAULT_BLOCK_SIZE)
         batch = cells[first : last + 1].copy()
         batch["count"] = (np.minimum(ends[first : last + 1], close)
                           - np.maximum(starts[first : last + 1], lo))
-        outbound = _Handoff() if close < ends[last] else None
-        units.append(partial(_batch, comp, batch, k, t, seed, inbound, outbound))
-        lo, first, inbound = close, last if outbound else last + 1, outbound
+        piece = (lo - int(starts[first])) // DEFAULT_BLOCK_SIZE
+        units.append(partial(_batch, comp, batch, k, t, seed, piece))
+        lo, first = close, last if close < ends[last] else last + 1
     return total, units
 
 
 def _batch(comp, tiles: np.recarray, k: int, t: int, seed: int,
-           inbound: _Handoff | None, outbound: _Handoff | None) -> tuple[np.ndarray, int]:
+           piece: int) -> tuple[np.ndarray, int]:
     """Edges of a batch of tile pieces back to back, from one kernel call.
 
-    A first piece that goes on with a tile takes its stream from inbound,
-    and a last piece that the next batch goes on with hands its stream to
-    outbound, which is marked done also when this batch fails.
+    The first entry is piece `piece` of its tile and every later one its
+    tile's piece 0.
     """
-    try:
-        keys = ((tiles.tile_row << t) | tiles.tile_col).tolist()
-        streams = [Stream(seed, DOMAIN_TILE, key) for key in keys]
-        if inbound is not None:
-            inbound.done.wait()
-            if inbound.stream is None:
-                raise RuntimeError("the batch before this one failed")
-            streams[0] = inbound.stream
-        inner = k - t
-        prefix = np.column_stack([tiles.tile_row, tiles.tile_col]).astype(np.uint64)
-        prefix <<= np.uint64(inner)
-        if inner:
-            edges, used = _emit_general(comp, inner, list(zip(tiles.count.tolist(), streams)))
-            # Repeated after the kernel, into pages its chunks have just freed:
-            # repeated before it, tiled-part took 30k page faults, not 14k.
-            edges |= np.repeat(prefix, tiles.count, axis=0)
-        else:
-            edges, used = np.repeat(prefix, tiles.count, axis=0), 0
-        if outbound is not None:
-            outbound.stream = streams[-1]
-        return edges, used
-    finally:
-        if outbound is not None:
-            outbound.done.set()
+    keys = ((tiles.tile_row << t) | tiles.tile_col).tolist()
+    streams = [Stream(seed, DOMAIN_TILE, key) for key in keys]
+    streams[0].piece = piece
+    inner = k - t
+    prefix = np.column_stack([tiles.tile_row, tiles.tile_col]).astype(np.uint64)
+    prefix <<= np.uint64(inner)
+    if not inner:
+        return np.repeat(prefix, tiles.count, axis=0), 0
+    edges, used = _emit_general(comp, inner, list(zip(tiles.count.tolist(), streams)))
+    # Repeated after the kernel, into pages its chunks have just freed:
+    # repeated before it, tiled-part took 30k page faults, not 14k.
+    edges |= np.repeat(prefix, tiles.count, axis=0)
+    return edges, used
 
 
 def _check_tiles(plan: PartitionPlan, part: int, cells: np.recarray) -> None:
@@ -311,18 +287,20 @@ def _check_tiles(plan: PartitionPlan, part: int, cells: np.recarray) -> None:
 
 def generate_part_stream(
     plan: PartitionPlan, params: RmatParams, table: FragmentTable,
-    part: int = 0, threads: int = 1, tiles: list[TileCount] | None = None,
+    part: int = 0, threads: int = 1, tiles: list[TileCount] | np.ndarray | None = None,
 ) -> Iterator[tuple[np.ndarray, int]]:
     """generate_part's (edges, samples), one batch of tiles at a time; checks its inputs first.
 
     A batch holds about a block of edges, at most two blocks less one.
-    tiles is as in generate_part.
+    tiles is as in generate_part, or a record array of dtype _CELL.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     _check_model(table, params)
-    cells = _cells(plan_tiles(plan, params, part) if tiles is None else tiles)
-    if tiles is not None:
+    if tiles is None:
+        cells = _plan_cells(plan, params, part)
+    else:
+        cells = _cells(tiles)
         _check_tiles(plan, part, cells)
     _, units = _units(_compile(table), cells, plan.k, plan.t, plan.seed)
     return _stream_units(len(units), units, threads)

@@ -30,20 +30,11 @@ class EdgeOutsideDeclaredTile(ValueError):
 def to_undirected(edges: np.ndarray) -> np.ndarray:
     """Canonicalize each edge into the lower-left triangle: (max, min).
 
-    Idempotent; the diagonal is fixed.  For a symmetric edge list with
-    both orientations, see `mirrored`.
+    Idempotent; the diagonal is fixed.
     """
     out = np.empty_like(edges)
     out[:, 0] = np.maximum(edges[:, 0], edges[:, 1])
     out[:, 1] = np.minimum(edges[:, 0], edges[:, 1])
-    return out
-
-
-def mirrored(edges: np.ndarray) -> np.ndarray:
-    """Both orientations of every edge, (u,v) immediately followed by (v,u)."""
-    out = np.empty((2 * len(edges), 2), dtype=edges.dtype)
-    out[0::2] = edges
-    out[1::2] = edges[:, ::-1]
     return out
 
 

@@ -376,8 +376,8 @@ def test_dedup_bound_counts_the_part_edges(tmp_path, capsys, monkeypatch, spare,
                         lambda: held * cli_mod.DEDUP_BYTES_PER_EDGE + spare)
     planned = []
     for mod in (cli_mod, partition_mod):
-        monkeypatch.setattr(mod, "plan_tiles",
-                            lambda *a, _plan=mod.plan_tiles: planned.append(a) or _plan(*a))
+        monkeypatch.setattr(mod, "_plan_cells",
+                            lambda *a, _plan=mod._plan_cells: planned.append(a) or _plan(*a))
     path = tmp_path / "x.bin"
     assert main(["generate", *argv, "--dedup", "-o", str(path)]) == rc
     assert len(planned) == 1

@@ -118,15 +118,16 @@ def test_bucket_mapping_is_exact(tag):
     assert (table.sampler.threshold[n:] == 0).all()
     assert (table.sampler.alias[n:] < n).all()
     comp = _compile(table)
+    alias = table.sampler.alias.astype(np.intp)
     high = np.array([0, n - 1, n, (1 << 32) - 1], dtype=np.uint64)
     bucket = (high & np.uint64(size - 1)).astype(np.intp)
-    expect = np.where(comp.thr32[bucket] > 0, bucket, comp.alias[bucket])
+    expect = np.where(comp.thr32[bucket] > 0, bucket, alias[bucket])
     assert (generator._select(comp, high << np.uint64(32)) == expect).all()
     # Shares in units of one fraction value (2^-32) of one bucket.
     shares = comp.thr32.astype(np.int64)
-    np.add.at(shares, comp.alias, (1 << 32) - shares)
+    np.add.at(shares, alias, (1 << 32) - shares)
     assert (shares[n:] == 0).all() and shares.sum() == size << 32
-    buckets = 1 + np.bincount(comp.alias, minlength=size)[:n]
+    buckets = 1 + np.bincount(alias, minlength=size)[:n]
     assert (np.abs(shares[:n] - table.probs * (size << 32)) <= buckets).all()
 
 

@@ -337,33 +337,34 @@ def test_tile_check_names_the_first_bad_tile():
 
 
 def _units_oracle(tiles):
-    # The batching loop _units replaced: the (row, col, count) pieces of each
-    # batch, and whether it hands a tile's stream on.
-    batches, batch = [], []
-    lo = pos = 0
+    # Each tile cut from its start into pieces of a block, batched whole
+    # until a batch holds a block: the (row, col, count, piece) of each
+    # batch's pieces.
+    batches, batch, held = [], [], 0
     for row, col, count in tiles:
-        left = count
-        while left:
-            take = left if left <= DEFAULT_BLOCK_SIZE else DEFAULT_BLOCK_SIZE - (pos - lo)
-            batch.append((row, col, take))
-            left -= take
-            pos += take
-            if pos - lo >= DEFAULT_BLOCK_SIZE:
-                batches.append((batch, bool(left)))
-                batch, lo = [], pos
+        for piece, lo in enumerate(range(0, count, DEFAULT_BLOCK_SIZE)):
+            take = min(DEFAULT_BLOCK_SIZE, count - lo)
+            batch.append((row, col, take, piece))
+            held += take
+            if held >= DEFAULT_BLOCK_SIZE:
+                batches.append(batch)
+                batch, held = [], 0
     if batch:
-        batches.append((batch, False))
-    return pos, batches
+        batches.append(batch)
+    return sum(tc.count for tc in tiles), batches
 
 
 @pytest.mark.parametrize("k,t,m", [(12, 3, 1_000_000), (20, 8, 2**20), (16, 1, 5 * DEFAULT_BLOCK_SIZE),
-                                   (14, 4, 3 * DEFAULT_BLOCK_SIZE), (6, 2, 0)])
+                                   (14, 4, 3 * DEFAULT_BLOCK_SIZE), (12, 2, 1_000_000),
+                                   (10, 0, 2 * DEFAULT_BLOCK_SIZE), (10, 0, 3 * DEFAULT_BLOCK_SIZE + 5),
+                                   (6, 2, 0)])
 def test_units_match_the_batching_loop(k, t, m):
     tiles = plan_tiles(default_plan(k=k, t=t, m=m, seed=3), params_for(G500, k))
     total, units = partition_mod._units(None, tiles, k, t, 3)
     want_total, want = _units_oracle(tiles)
-    got = [([tuple(int(x) for x in piece) for piece in unit.args[1]], unit.args[-1] is not None)
-           for unit in units]
+    # A batch gives the piece index of its first entry; the others are piece 0.
+    got = [[(int(row), int(col), int(count), unit.args[-1] if i == 0 else 0)
+            for i, (row, col, count) in enumerate(unit.args[1])] for unit in units]
     assert (total, got) == (want_total, want)
 
 
@@ -492,27 +493,32 @@ def test_partitioned_pooled_output_matches_exact_probs():
         (62, 0, 70_000, 1, 0),  # k - t = 62: one tile larger than one block
     ],
 )
-def test_generate_part_equals_per_tile_generation(kind, k, t, m, parts, part):
+def test_generate_part_equals_per_tile_generation(kind, k, t, m, parts, part, monkeypatch):
+    # A tile's bytes depend on neither the batches nor the threads that fill it.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     params = params_for(G500, k)
     table = fixed_table(G500, k, 5) if kind == "fixed" else variable_table(G500, k, 253)
     plan = default_plan(k=k, t=t, m=m, seed=5, parts=parts)
-    edges, tiles, _ = generate_part(plan, params, table, part=part)
-    each = [fill_tile(tc, table, k=k, t=t, seed=5) for tc in tiles]
-    assert edges.shape == (sum(tc.count for tc in tiles), 2)
-    assert np.array_equal(edges, np.concatenate(each))
+    tiles = plan_tiles(plan, params, part)
+    each = np.concatenate([fill_tile(tc, table, k=k, t=t, seed=5) for tc in tiles])
+    assert len(each) == sum(tc.count for tc in tiles)
+    for threads in (1, 2):
+        edges, _, _ = generate_part(plan, params, table, part=part, threads=threads)
+        assert np.array_equal(edges, each)
 
 
 @pytest.mark.parametrize(
     "kind,samples,digest",
     [
-        ("variable", 943590, "76f239a7b5eeb7793faacc00173359d5"),
-        ("fixed", 1145856, "35453d1540e71cfd109e046cba76b398"),
+        ("variable", 943589, "2ce7e70edfd6c5c2e5d6bec75e1b5a03"),
+        ("fixed", 1145856, "6aad7443167beaa6848af8ca28db8878"),
     ],
     ids=["variable", "fixed"],
 )
 def test_generate_part_bytes_pinned(kind, samples, digest):
     # Output bytes and sample counts are part of the contract.  Part 0 of
-    # this plan holds a tile larger than one block and spans several batches.
+    # this plan holds a tile of 84,386 edges, cut into two pieces, and spans
+    # several batches.
     k = 14
     table = fixed_table(G500, k, 5) if kind == "fixed" else variable_table(G500, k, 1021)
     plan = default_plan(k=k, t=4, m=800_000, seed=2024, parts=3)
@@ -671,9 +677,11 @@ def big_tile_inputs(kind):
 @pytest.mark.parametrize("kind,count", [("variable", 3 * DEFAULT_BLOCK_SIZE + 123),
                                         ("fixed", 4 * DEFAULT_BLOCK_SIZE)])
 def test_split_tile_equals_one_unsplit_call(kind, count, monkeypatch):
-    # A tile of several blocks is cut into block-sized units, each going on
-    # from the carry of the one before.  Fixed depth 4 under 16 inner bits
-    # makes every cut fall on a fragment boundary (nothing carried).
+    # A tile of several blocks is cut into block-sized units, piece p drawn
+    # from the tile's key with p in the counter's second word.  Piece 0 is
+    # the uncut tile's stream, so the first block is that of one unsplit
+    # call.  Fixed depth 4 under 16 inner bits ends every piece on a
+    # fragment boundary.
     k, t, seed = 18, 2, 7
     table = fixed_table(G500, k, 4) if kind == "fixed" else variable_table(G500, k, 1021)
     comp = generator_mod._compile(table)
@@ -681,13 +689,20 @@ def test_split_tile_equals_one_unsplit_call(kind, count, monkeypatch):
     total, units = partition_mod._units(comp, [tc], k, t, seed)
     assert total == count and len(units) == -(-count // DEFAULT_BLOCK_SIZE)
     pieces = [unit() for unit in units]
-    assert all(len(edges) <= DEFAULT_BLOCK_SIZE for edges, _ in pieces)
     monkeypatch.setattr(generator_mod, "_CHUNK_EDGES", count)
-    stream = generator_mod.Stream(seed, partition_mod.DOMAIN_TILE, (2 << t) | 1)
-    bits, used = partition_mod._emit_general(comp, k - t, [(count, stream)])
     prefix = np.array([2, 1], dtype=np.uint64) << np.uint64(k - t)
-    assert sum(u for _, u in pieces) == used
-    assert np.array_equal(np.concatenate([e for e, _ in pieces]), bits | prefix)
+    key = (2 << t) | 1
+    for p, (edges, used) in enumerate(pieces):
+        stream = generator_mod.Stream(seed, partition_mod.DOMAIN_TILE, key, p)
+        size = min(DEFAULT_BLOCK_SIZE, count - p * DEFAULT_BLOCK_SIZE)
+        bits, want = partition_mod._emit_general(comp, k - t, [(size, stream)])
+        assert used == want
+        assert np.array_equal(edges, bits | prefix)
+    stream = generator_mod.Stream(seed, partition_mod.DOMAIN_TILE, key)
+    uncut, _ = partition_mod._emit_general(comp, k - t, [(count, stream)])
+    uncut |= prefix
+    assert np.array_equal(pieces[0][0], uncut[:DEFAULT_BLOCK_SIZE])
+    assert not np.array_equal(pieces[1][0], uncut[DEFAULT_BLOCK_SIZE : 2 * DEFAULT_BLOCK_SIZE])
 
 
 def test_split_tile_units_close_at_one_block():
@@ -698,10 +713,6 @@ def test_split_tile_units_close_at_one_block():
     sizes = [sum(tc.count for tc in unit.args[1]) for unit in units]
     assert sum(sizes) == total == plan.m
     assert max(sizes) < 2 * DEFAULT_BLOCK_SIZE
-    # Each handoff links one unit to the next, and only those two.
-    for before, after in zip(units, units[1:]):
-        assert before.args[-1] is after.args[-2]
-    assert sum(unit.args[-1] is not None for unit in units) >= 2
 
 
 @pytest.mark.parametrize("threads", [2, 3, 8])
@@ -718,33 +729,3 @@ def test_split_tile_thread_count_invariance(threads, monkeypatch):
             assert np.array_equal(got, ref)
     finally:
         sys.setswitchinterval(interval)
-
-
-def test_split_tile_error_propagates_mid_chain(monkeypatch):
-    # One tile of 5 blocks is a chain of 5 units; the third fails while
-    # the fourth waits for its carry on the other thread.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    plan = default_plan(k=12, t=0, m=5 * DEFAULT_BLOCK_SIZE, seed=3)
-    params, table = params_for(G500, 12), variable_table(G500, 12, 253)
-    calls = itertools.count()
-    emit = partition_mod._emit_general
-
-    def failing(comp, k, segments):
-        if next(calls) == 2:
-            raise MemoryError("piece 2")
-        return emit(comp, k, segments)
-
-    monkeypatch.setattr(partition_mod, "_emit_general", failing)
-    raised = []
-
-    def run():
-        try:
-            generate_part(plan, params, table, threads=2)
-        except MemoryError as exc:
-            raised.append(exc)
-
-    runner = threading.Thread(target=run, daemon=True)
-    runner.start()
-    runner.join(60)
-    assert not runner.is_alive()
-    assert [str(exc) for exc in raised] == ["piece 2"]

@@ -12,7 +12,6 @@ from rmatgen import (
     emit_block,
     exact_cell_probs,
     make_scramble_key,
-    mirrored,
     naive_edges,
     scramble,
     scramble_edges,
@@ -55,20 +54,6 @@ def test_to_undirected_preserves_shape_and_dtype():
     assert out.dtype == edges.dtype
     # input untouched
     assert edges.tolist() == [[1, 2], [9, 4]]
-
-
-def test_mirrored_interleaves_both_orientations():
-    out = mirrored(edges_of((1, 2), (5, 5)))
-    assert out.tolist() == [[1, 2], [2, 1], [5, 5], [5, 5]]
-
-
-def test_mirrored_even_rows_are_input():
-    rng = np.random.default_rng(11)
-    edges = rng.integers(0, 1 << 10, size=(307, 2), dtype=np.uint64)
-    out = mirrored(edges)
-    assert len(out) == 2 * len(edges)
-    assert np.array_equal(out[0::2], edges)
-    assert np.array_equal(out[1::2], edges[:, ::-1])
 
 
 def test_canonicalized_fast_matches_oracle_when_symmetric():

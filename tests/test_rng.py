@@ -57,6 +57,30 @@ def test_stream_pieces_equal_one_keyed_draw():
     assert unaligned > 500
 
 
+def test_stream_piece_draws_from_the_counter_second_word():
+    # Piece p of a key is numpy's Philox under that key from counter
+    # (0, p, 0, 0), however its draws are cut, with the pieces of one key
+    # drawn in turn so the shared Philox is re-keyed between every draw.
+    rng = np.random.default_rng(16)
+    pieces = (0, 1, 2, 9, 2**32, 2**64 - 1)
+    for trial in range(60):
+        key = (int(rng.integers(0, 2**64, dtype=np.uint64)), DOMAINS[trial % 5],
+               int(rng.integers(0, 2**64, dtype=np.uint64)))
+        streams = [Stream(*key, piece=p) for p in pieces]
+        totals = [int(rng.integers(0, 90)) for _ in pieces]
+        got: list[list[np.ndarray]] = [[] for _ in pieces]
+        while any(s.pos < n for s, n in zip(streams, totals)):
+            for stream, n, out in zip(streams, totals, got):
+                out.append(stream.words(min(int(rng.integers(0, 7)), n - stream.pos)))
+        philox_key = keyed_stream(*key).bit_generator.state["state"]["key"]
+        for p, n, out in zip(pieces, totals, got):
+            counter = np.array([0, p, 0, 0], dtype=np.uint64)
+            want = np.random.Philox(key=philox_key, counter=counter).random_raw(n)
+            assert np.array_equal(np.concatenate(out), want)
+        assert np.array_equal(np.concatenate(got[0]),
+                              keyed_stream(*key).bit_generator.random_raw(totals[0]))
+
+
 def _split_oracle(count, params, node_key):
     # The split as it was written against a fresh Generator per node.
     if count == 0:
