@@ -167,7 +167,10 @@ def plan_tiles(plan: PartitionPlan, params: RmatParams, part: int = 0) -> list[T
     nodes always key distinct streams.  A part owning more than
     MAX_PLAN_TILES tiles raises PlanTooLarge before the walk starts.
     """
-    cells = _plan_cells(plan, params, part)
+    return _tile_list(_plan_cells(plan, params, part))
+
+
+def _tile_list(cells: np.recarray) -> list[TileCount]:
     return list(map(TileCount, cells.tile_row.tolist(), cells.tile_col.tolist(),
                     cells.count.tolist()))
 
@@ -294,14 +297,7 @@ def generate_part_stream(
     A batch holds about a block of edges, at most two blocks less one.
     tiles is as in generate_part, or a record array of dtype _CELL.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    _check_model(table, params)
-    if tiles is None:
-        cells = _plan_cells(plan, params, part)
-    else:
-        cells = _cells(tiles)
-        _check_tiles(plan, part, cells)
+    cells = _part_cells(plan, params, table, part, threads, tiles)
     _, units = _units(_compile(table), cells, plan.k, plan.t, plan.seed)
     return _stream_units(len(units), units, threads)
 
@@ -323,9 +319,23 @@ def generate_part(
     tile outside the 2^t grid or the part's rows, listed twice or with a
     negative count raises ValueError before any unit runs.
     """
+    cells = _part_cells(plan, params, table, part, threads, tiles)
+    total, units = _units(_compile(table), cells, plan.k, plan.t, plan.seed)
+    edges, samples = _collect(total, _stream_units(len(units), units, threads))
+    return edges, _tile_list(cells) if tiles is None else tiles, samples
+
+
+def _part_cells(plan: PartitionPlan, params: RmatParams, table: FragmentTable, part: int,
+                threads: int, tiles) -> np.recarray:
+    """The part's tiles as a record array of dtype _CELL: given tiles checked, else planned.
+
+    The table is checked against the model before any tile is planned.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    _check_model(table, params)
     if tiles is None:
-        _check_model(table, params)  # before planning, not only before filling
-        tiles = plan_tiles(plan, params, part)
-    units = generate_part_stream(plan, params, table, part, threads, tiles)
-    edges, samples = _collect(sum(tc.count for tc in tiles), units)
-    return edges, tiles, samples
+        return _plan_cells(plan, params, part)
+    cells = _cells(tiles)
+    _check_tiles(plan, part, cells)
+    return cells

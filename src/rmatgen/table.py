@@ -10,7 +10,6 @@ expanding the most probable path until a size budget is reached.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -23,9 +22,14 @@ from .params import RmatParams
 
 DEFAULT_DEPTH_CAP = 62
 
-#: Both table kinds are bounded in entries before allocating: a fixed table
-#: with its compiled arrays takes about 140 B per entry, a variable build 340 B.
+#: Both table kinds are bounded in entries before allocating.  Building a
+#: table and compiling it for the kernels peaks at most _PEAK_BYTES_PER_ENTRY
+#: bytes per entry above the interpreter's own RSS.  Measured at 4**11
+#: entries: fixed 142 B; variable 124 B for Graph500's model and 186 B for
+#: (0.9, 0.025, 0.025, 0.05), whose paths run deepest.  CI's "Table bound"
+#: step holds the largest table of each kind to the bound.
 MAX_TABLE_ENTRIES = 4**11
+_PEAK_BYTES_PER_ENTRY = {"fixed": 160, "variable": 210}
 MAX_FIXED_DEPTH = (MAX_TABLE_ENTRIES.bit_length() - 1) // 2
 
 
@@ -109,11 +113,11 @@ def _check_model(table: FragmentTable, params: RmatParams) -> None:
 
 
 def _assemble(row, col, dep, prob, kind: str, quadrants) -> FragmentTable:
-    dep = dep.astype(np.uint64)
+    dep = dep.astype(np.uint64, copy=False)
     pad = (1 << (len(prob) - 1).bit_length()) - len(prob)
     table = FragmentTable(
-        row_bits=row.astype(np.uint64),
-        col_bits=col.astype(np.uint64),
+        row_bits=row.astype(np.uint64, copy=False),
+        col_bits=col.astype(np.uint64, copy=False),
         depths=dep,
         probs=prob,
         sampler=build_alias(np.concatenate([prob, np.zeros(pad)])),
@@ -169,6 +173,14 @@ def build_variable_table(
     interleaved path value, making the table a deterministic function of
     (params, size_limit, depth_cap).  The final size never exceeds
     size_limit and is congruent to 1 mod 3 whenever the cap never binds.
+
+    The expansions are found without replaying them one by one: in the
+    order (-p, depth, path value) a child always comes after its parent,
+    so replacing the most probable path (size_limit - 1) // 3 times expands
+    exactly the first that many paths of the whole tree below depth_cap in
+    that order.  _greedy_levels walks the tree level by level and
+    _greedy_set picks those paths; the table is every child of an
+    expanded path that is not expanded itself.
     """
     if size_limit < 4:
         raise SizeLimitTooSmall(f"size_limit must be >= 4, got {size_limit}")
@@ -176,39 +188,82 @@ def build_variable_table(
         raise TableTooLarge(f"size_limit must be <= {MAX_TABLE_ENTRIES}, got {size_limit}")
     if not 1 <= depth_cap <= DEFAULT_DEPTH_CAP:
         raise DepthOutOfRange(f"depth_cap must be in [1, {DEFAULT_DEPTH_CAP}], got {depth_cap}")
-
-    quads = params.quadrants
-    # Heap of expandable paths: (-prob, depth, interleaved code, row, col).
-    # Python's tuple order gives exactly the tie rule documented above.
-    heap: list[tuple[float, int, int, int, int]] = [(-1.0, 0, 0, 0, 0)]
-    capped: list[tuple[float, int, int, int, int]] = []
-    total = 1
-    while heap and total + 3 <= size_limit:
-        negp, depth, code, row, col = heapq.heappop(heap)
-        p = -negp
-        for digit in range(4):
-            child = (
-                -(p * quads[digit]),
-                depth + 1,
-                (code << 2) | digit,
-                (row << 1) | (digit >> 1),
-                (col << 1) | (digit & 1),
-            )
-            if depth + 1 >= depth_cap:
-                capped.append(child)
-            else:
-                heapq.heappush(heap, child)
-        total += 3
-
-    final = heap + capped
-    # Canonical presentation: by depth, then interleaved path order.
-    final.sort(key=lambda e: (e[1], e[2]))
-    n = len(final)
-    row = np.fromiter((e[3] for e in final), dtype=np.uint64, count=n)
-    col = np.fromiter((e[4] for e in final), dtype=np.uint64, count=n)
-    dep = np.fromiter((e[1] for e in final), dtype=np.uint64, count=n)
-    probs = np.fromiter((-e[0] for e in final), dtype=np.float64, count=n)
+    quads = np.array(params.quadrants, dtype=np.float64)
+    row, col, dep, probs = _greedy_set(quads, (size_limit - 1) // 3, depth_cap)
     return _assemble(row, col, dep, probs, "variable", params.quadrants)
+
+
+def _greedy_set(quads, expand: int, depth_cap: int):
+    """The children of the first `expand` paths that are not expanded themselves: (row, col, depth, p).
+
+    Entries come by depth, then path value.
+    """
+    levels = _greedy_levels(quads, expand, depth_cap)
+    sizes = [len(lv[0]) for lv in levels]
+    # A level lists its nodes in path-value order, so a node's index in its
+    # level breaks ties as its path value does.  Path values pass 64 bits
+    # below depth 32, and the cap is 62; indices do not.
+    depth = np.repeat(np.arange(len(levels)), sizes)
+    rank = np.concatenate([np.arange(n) for n in sizes])
+    prob = np.concatenate([lv[0] for lv in levels])
+    expanded = np.zeros(len(prob), dtype=bool)
+    expanded[np.lexsort((rank, depth, -prob))[:expand]] = True
+    expanded = np.split(expanded, np.cumsum(sizes)[:-1])
+    # The children of one level's expanded nodes, in the order of their
+    # parents and then of the digit, are in path-value order.
+    parts = []
+    for d, (p, row, col, _) in enumerate(levels):
+        parents = np.flatnonzero(expanded[d])
+        if not len(parents):
+            break
+        grown = np.zeros((len(p), 4), dtype=bool)  # children expanded themselves
+        if d + 1 < len(levels):
+            grown.flat[levels[d + 1][3][expanded[d + 1]]] = True
+        here = ~grown[parents].ravel()
+        cp, crow, ccol = _children(quads, p[parents], row[parents], col[parents])
+        dep = np.full(np.count_nonzero(here), d + 1, dtype=np.uint64)
+        parts.append((crow[here], ccol[here], dep, cp[here]))
+    return tuple(np.concatenate(field) for field in zip(*parts))
+
+
+def _greedy_levels(quads, expand: int, depth_cap: int) -> list[tuple]:
+    """The tree of paths above depth_cap, level by level, cut to the candidates for expansion.
+
+    Each level lists (p, row, col, slot) for its nodes in path-value order;
+    slot is 4 * the parent's index in the level above + the digit.  A
+    child's p is its parent's times the digit's quadrant probability, the
+    float product a path-by-path expansion makes.  A node whose p falls
+    below the `expand`-th largest p met so far cannot be expanded, and no
+    node below it can, so it is dropped: the levels stay a few times
+    `expand` long, where the whole tree grows 4x per level.
+    """
+    p = np.ones(1)
+    row = col = np.zeros(1, dtype=np.uint64)
+    seen = p
+    levels = [(p, row, col, np.zeros(1, dtype=np.int64))]
+    while len(levels) < depth_cap:
+        cp, crow, ccol = _children(quads, p, row, col)
+        seen = np.concatenate([seen, cp])
+        if len(seen) > expand:
+            floor = np.partition(seen, len(seen) - expand)[len(seen) - expand]
+            seen = seen[seen >= floor]
+            slot = np.flatnonzero(cp >= floor)
+        else:
+            slot = np.arange(len(cp))
+        if not len(slot):
+            break
+        p, row, col = cp[slot], crow[slot], ccol[slot]
+        levels.append((p, row, col, slot))
+    return levels
+
+
+def _children(quads, p, row, col):
+    """The four children of each node, in digit order: (p, row bits, column bits)."""
+    digit = np.arange(4, dtype=np.uint64)
+    one = np.uint64(1)
+    return ((p[:, None] * quads).ravel(),
+            ((row[:, None] << one) | (digit >> one)).ravel(),
+            ((col[:, None] << one) | (digit & one)).ravel())
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 import hashlib
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rmatgen import AliasTable, alias_sample, build_alias
+from rmatgen import alias as alias_mod
 from rmatgen.alias import AllZeroWeights, EmptyInput, NegativeWeight
-from conftest import fixed_table, variable_table
+from conftest import SKEWED, UNIFORM, fixed_table, variable_table
 
 
 def test_single_entry_always_selected():
@@ -139,3 +141,85 @@ def test_alias_bytes_pinned(sampler_of, size, threshold_digest, alias_digest):
     assert sampler.threshold.dtype == np.float64 and sampler.alias.dtype == np.int64
     assert not sampler.threshold.flags.writeable and not sampler.alias.flags.writeable
     assert (digest(sampler.threshold), digest(sampler.alias)) == (threshold_digest, alias_digest)
+
+
+def _vose_reference(weights):
+    """Vose's pairing as a scalar loop over two LIFO worklists: (threshold, alias)."""
+    w = np.asarray(weights, dtype=np.float64)
+    n = w.size
+    scaled = (w * (n / float(w.sum()))).tolist()
+    keep = [1.0] * n
+    other = list(range(n))
+    small = [i for i, x in enumerate(scaled) if x < 1.0]
+    large = [i for i, x in enumerate(scaled) if x >= 1.0]
+    while small and large:
+        s = small.pop()
+        g = large.pop()
+        keep[s] = scaled[s]
+        other[s] = g
+        scaled[g] = (scaled[g] + scaled[s]) - 1.0
+        (small if scaled[g] < 1.0 else large).append(g)
+    return np.array(keep), np.array(other, dtype=np.int64)
+
+
+def _same_as_reference(weights):
+    t = build_alias(weights)
+    keep, other = _vose_reference(weights)
+    return np.array_equal(t.threshold, keep) and np.array_equal(t.alias, other)
+
+
+_WEIGHT = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.25, 0.5, 1.5, 2.0, 2 / 3, 4 / 3]),
+    st.floats(0.0, 100.0),
+    st.floats(0.0, 0.999).map(lambda u: (1.0 - u) ** -1.5),  # Pareto tail, index 2/3
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_WEIGHT, min_size=1, max_size=300).filter(lambda w: sum(w) > 0))
+@example([7.5])
+@example([1.0] * 8)
+@example([0.0, 0.0, 3.0])
+@example([0.5, 1.5, 1.0, 1.0, 0.25, 1.75])
+@example([2 / 3, 4 / 3] * 12 + [1.0, 2 / 3, 4 / 3])
+def test_build_matches_vose_loop(w):
+    assert _same_as_reference(w)
+
+
+@pytest.mark.parametrize("quads", [G500, SKEWED, UNIFORM, (0.45, 0.15, 0.15, 0.25)],
+                         ids=["g500", "skewed", "uniform", "045"])
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_fixed_table_sampler_matches_vose_loop(quads, depth):
+    table = fixed_table(quads, 20, depth)
+    keep, other = _vose_reference(table.probs)
+    assert np.array_equal(table.sampler.threshold, keep)
+    assert np.array_equal(table.sampler.alias, other)
+
+
+def test_re_merges_stay_exact_and_fast(monkeypatch):
+    # Thirds put the loop's residual within rounding of 1, where the merge's
+    # prefix-sum estimate can pick the other list: find a small vector that
+    # forces a re-merge, tile it to 2^16 buckets so that it recurs in every
+    # copy, and check both the bytes and the time.
+    merges = []
+    real = alias_mod._merge
+    monkeypatch.setattr(alias_mod, "_merge", lambda *a: merges.append(1) or real(*a))
+    pool = [2 / 3, 4 / 3, 1.0, 0.0, 1 / 3, 5 / 3, 0.1, 0.9, 1.1]
+    for seed in range(5000):
+        w = np.random.default_rng(seed).choice(pool, 16)
+        if w.sum() == 0:
+            continue
+        merges.clear()
+        build_alias(w)
+        if len(merges) > 1:
+            break
+    else:
+        pytest.fail("no vector of 16 forced a re-merge")
+    tiled = np.tile(w, 1 << 12)
+    merges.clear()
+    start = time.perf_counter()
+    build_alias(tiled)
+    seconds = time.perf_counter() - start
+    assert len(merges) > 100
+    assert _same_as_reference(tiled)
+    assert seconds < 1.0, (seed, len(merges), seconds)

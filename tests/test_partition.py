@@ -383,6 +383,29 @@ def test_generate_part_count_and_conservation():
     assert edges.dtype == np.uint64
 
 
+def test_generate_part_plans_once_and_checks_nothing_it_planned(monkeypatch):
+    # Without tiles=, the tiles are planned as one array, filled from it and
+    # returned as the plan_tiles list; given tiles are still checked.
+    k, t, m = 8, 2, 10**4
+    params, table = params_for(G500, k), variable_table(G500, k, 253)
+    plan = default_plan(k=k, t=t, m=m, seed=31, parts=2)
+    expected = plan_tiles(plan, params, 1)
+    planned = []
+    real_plan = partition_mod._plan_cells
+    monkeypatch.setattr(partition_mod, "_plan_cells",
+                        lambda *a: planned.append(a) or real_plan(*a))
+    checked = []
+    real_check = partition_mod._check_tiles
+    monkeypatch.setattr(partition_mod, "_check_tiles",
+                        lambda *a: checked.append(a) or real_check(*a))
+    edges, tiles, _ = generate_part(plan, params, table, part=1)
+    assert (len(planned), checked) == (1, [])
+    assert tiles == expected and all(type(tc) is TileCount for tc in tiles)
+    assert len(edges) == sum(tc.count for tc in tiles)
+    assert np.array_equal(generate_part(plan, params, table, part=1, tiles=tiles)[0], edges)
+    assert len(checked) == 1
+
+
 def test_generate_part_union_equals_single_part():
     k, t, m = 8, 2, 10**4
     params = params_for(G500, k)
@@ -448,6 +471,7 @@ def test_table_for_another_model_rejected(monkeypatch):
         raise AssertionError("planned or emitted with a mismatched table")
 
     monkeypatch.setattr(partition_mod, "plan_tiles", unreachable)
+    monkeypatch.setattr(partition_mod, "_plan_cells", unreachable)
     monkeypatch.setattr(generator_mod, "_emit", unreachable)
     k = 8
     params, table = params_for(SKEWED, k), variable_table(G500, k, 253)

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -213,6 +214,61 @@ def test_determinism_byte_identical():
     assert (t1.col_bits == t2.col_bits).all()
     assert (t1.depths == t2.depths).all()
     assert (t1.probs == t2.probs).all()
+
+
+def _heap_reference(quads, size_limit, depth_cap=DEFAULT_DEPTH_CAP):
+    """The greedy set by a heap of (-p, depth, code, row, col): (row, col, depth, p) arrays.
+
+    Pops the most probable path, ties to smaller depth, then smaller
+    interleaved code, and replaces it with its four children while the set
+    fits; entries come out by depth, then code.
+    """
+    heap = [(-1.0, 0, 0, 0, 0)]
+    capped = []
+    total = 1
+    while heap and total + 3 <= size_limit:
+        negp, depth, code, row, col = heapq.heappop(heap)
+        for digit in range(4):
+            child = (-(-negp * quads[digit]), depth + 1, (code << 2) | digit,
+                     (row << 1) | (digit >> 1), (col << 1) | (digit & 1))
+            if depth + 1 >= depth_cap:
+                capped.append(child)
+            else:
+                heapq.heappush(heap, child)
+        total += 3
+    final = sorted(heap + capped, key=lambda e: (e[1], e[2]))
+    return (np.array([e[3] for e in final], dtype=np.uint64),
+            np.array([e[4] for e in final], dtype=np.uint64),
+            np.array([e[1] for e in final], dtype=np.uint64),
+            np.array([-e[0] for e in final], dtype=np.float64))
+
+
+def _assert_matches_heap(quads, size, depth_cap=DEFAULT_DEPTH_CAP):
+    t = build_variable_table(params_for(quads, 4), size, depth_cap)
+    row, col, dep, probs = _heap_reference(params_for(quads, 4).quadrants, size, depth_cap)
+    assert np.array_equal(t.row_bits, row)
+    assert np.array_equal(t.col_bits, col)
+    assert np.array_equal(t.depths, dep)
+    assert np.array_equal(t.probs, probs)
+
+
+# Dyadic quadrants tie exactly across depths (0.5 * 0.5 == 0.25), where
+# depth breaks the tie.
+DYADIC = (0.5, 0.25, 0.125, 0.125)
+
+
+@pytest.mark.parametrize("quads", [G500, SKEWED, UNIFORM, DYADIC],
+                         ids=["g500", "skewed", "uniform", "dyadic"])
+@pytest.mark.parametrize("size", [4, 5, 7, 100, 1021, 8191, 65535])
+def test_variable_matches_heap(quads, size):
+    _assert_matches_heap(quads, size)
+
+
+@pytest.mark.parametrize("quads", [G500, SKEWED, UNIFORM], ids=["g500", "skewed", "uniform"])
+@pytest.mark.parametrize("depth_cap", [1, 2, 3, 5])
+@pytest.mark.parametrize("size", [4, 100, 1021])
+def test_variable_matches_heap_under_depth_cap(quads, depth_cap, size):
+    _assert_matches_heap(quads, size, depth_cap)
 
 
 def test_stats_fixed_depth_exact():
