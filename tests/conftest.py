@@ -1,7 +1,9 @@
 """Shared fixtures and the acceptance-criterion reporting hook."""
 
 import functools
+import sys
 
+import numpy as np
 import pytest
 
 from rmatgen import build_fixed_table, build_variable_table, validate
@@ -49,3 +51,19 @@ def g500_k4():
 @pytest.fixture(scope="session")
 def g500_k20():
     return params_for((0.57, 0.19, 0.19, 0.05), 20)
+
+
+def spy_dedup_sorts(monkeypatch) -> list[str]:
+    """Names of the np.argsort / np.lexsort calls rmatgen.postprocess makes from here on.
+
+    Its packed branch sorts keys in place with ndarray.sort and calls neither.
+    """
+    calls = []
+    for name in ("argsort", "lexsort"):
+        def spy(*a, _real=getattr(np, name), _name=name, **kw):
+            if sys._getframe(1).f_globals["__name__"] == "rmatgen.postprocess":
+                calls.append(_name)
+            return _real(*a, **kw)
+
+        monkeypatch.setattr(np, name, spy)
+    return calls

@@ -28,6 +28,7 @@ import rmatgen.cli as cli_mod
 import rmatgen.generator as generator
 import rmatgen.partition as partition_mod
 from rmatgen.cli import _write_file, main
+from conftest import SKEWED, spy_dedup_sorts
 
 SUMMARY_RE = re.compile(
     r"edges=(\d+) seconds=\d+\.\d{3} edges_per_sec=\d+ "
@@ -347,7 +348,7 @@ def test_dedup_beyond_memory_exits_2_before_generating(tmp_path, capsys, monkeyp
     def unreachable(*args, **kwargs):
         raise AssertionError("generated edges")
 
-    for name in ("generate_stream", "generate_part_stream", "_collect"):
+    for name in ("generate_stream", "generate_part_stream", "_collect", "_gather_keys"):
         monkeypatch.setattr(cli_mod, name, unreachable)
     monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 1000 * cli_mod.DEDUP_BYTES_PER_EDGE - 1)
     rc = main(["generate", "-k", "8", "-m", "1000", "--dedup", *tiles, "-o", str(tmp_path / "x.bin")])
@@ -548,6 +549,42 @@ def test_streamed_file_matches_library_arrays(tmp_path, monkeypatch, tiles, dedu
     assert rc == 0
     want = savetxt_bytes(ref) if fmt == "text" else ref.astype("<u8").tobytes()
     assert path.read_bytes() == want
+
+
+@pytest.mark.parametrize(
+    "k,quads,undirected,sort",
+    [
+        (16, GRAPH500, False, None),  # 2k + 18 index bits fit one word
+        (16, GRAPH500, True, None),
+        (30, SKEWED, False, "argsort"),  # 60 key bits, but not with the index;
+        (30, SKEWED, True, "argsort"),  # a skewed model repeats edges among 2^60 cells
+        (40, SKEWED, True, "lexsort"),  # the edges themselves are gathered
+    ],
+    ids=["k16-directed", "k16-undirected", "k30-directed", "k30-undirected", "k40-undirected"],
+)
+@pytest.mark.parametrize("fmt", ["binary", "text"])
+def test_dedup_matches_library_dedup(tmp_path, capsys, monkeypatch, k, quads, undirected,
+                                     sort, fmt):
+    params = validate(*quads, k=k)
+    m = 3 * DEFAULT_BLOCK_SIZE + 123
+    config = GenConfig(params=params, table=build_variable_table(params, 8191),
+                       edge_count=m, seed=5)
+    result = generate_result(config)
+    edges = to_undirected(result.edges) if undirected else result.edges
+    ref = scramble_edges(dedup_local(edges), make_scramble_key(5, k))
+    assert len(ref) < m
+    calls = spy_dedup_sorts(monkeypatch)  # not the table build's lexsort
+    path = tmp_path / "d.out"
+    quad_args = [arg for q, x in zip("abcd", quads) for arg in (f"-{q}", repr(x))]
+    rc = main(["generate", "-k", str(k), "-m", str(m), "--seed", "5", *quad_args,
+               *(["--undirected"] if undirected else []), "--scramble", "--dedup",
+               "--format", fmt, "-o", str(path)])
+    assert rc == 0
+    assert calls == ([] if sort is None else [sort])
+    want = savetxt_bytes(ref) if fmt == "text" else ref.astype("<u8").tobytes()
+    assert path.read_bytes() == want
+    match = SUMMARY_RE.search(capsys.readouterr().out)
+    assert (int(match.group(1)), int(match.group(2))) == (len(ref), result.samples_consumed)
 
 
 def traced_peak(argv):

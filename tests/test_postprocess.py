@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from rmatgen import (
     scramble_edges,
     to_undirected,
 )
-from conftest import params_for, variable_table
+from rmatgen.postprocess import _first_keys
+from conftest import params_for, spy_dedup_sorts, variable_table
 
 G500 = (0.57, 0.19, 0.19, 0.05)
 
@@ -349,6 +351,9 @@ def test_scramble_scalar_kinds(k):
     [
         (1, 5, "b2667d5eae04ed669d89331afa957949"),
         (16, 2, "89523f5fa4fdcea171ff31c3c82f1777"),
+        (31, 3, "ee7f0e61e0148967484b926e3bea617a"),  # the widest k on uint32 lanes
+        (32, 11, "a7b0d49dc5d16a3c2c05e729ced8633c"),
+        (33, 13, "90d520b40d9b503c34a3b43f854ff0ab"),  # the narrowest on uint64 lanes
         (40, 7, "f304151a6a6ddd12b941a6029494ab0c"),
         (62, 41, "102c9e7cc104c878a70648d7878ac196"),
     ],
@@ -357,3 +362,62 @@ def test_scramble_bytes_pinned(k, seed, digest):
     values = np.random.default_rng(k).integers(0, 1 << k, size=4096, dtype=np.uint64)
     out = scramble(values, make_scramble_key(seed, k))
     assert hashlib.blake2b(out.tobytes(), digest_size=16).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "edges,sorts",
+    [
+        (np.empty((0, 2), dtype=np.uint64), []),
+        (edges_of((3, 9)), []),
+        (edges_with_repeats(16, 20000, 16, 16), []),  # 2k = 32 bits plus 15 index bits
+        (np.full((1000, 2), 7, dtype=np.uint64), []),
+        (edges_with_repeats(30, 20000, 30, 30), ["argsort"]),  # 60 + 15 > 64, 60 <= 64
+        (np.full((20000, 2), (1 << 30) - 1, dtype=np.uint64), ["argsort"]),
+        (edges_with_repeats(33, 20000, 33, 32), ["lexsort"]),  # 65 key bits
+        (np.full((1000, 2), (1 << 33) - 1, dtype=np.uint64), ["lexsort"]),
+        (edges_with_repeats(20, 20000, 20, 20, np.int64), ["lexsort"]),  # signed ids
+        (np.empty((0, 2), dtype=np.int64), []),
+    ],
+    ids=["empty", "one-row", "packed-k16", "all-equal-packed", "argsort-band",
+         "all-equal-band", "lexsort-wide", "all-equal-wide", "int64", "empty-int64"],
+)
+def test_dedup_branches_match_oracles(monkeypatch, edges, sorts):
+    calls = spy_dedup_sorts(monkeypatch)
+    got = dedup_local(edges)
+    assert calls == sorts
+    assert got.dtype == edges.dtype and got.shape[1:] == (2,)
+    assert np.array_equal(got, first_seen_oracle(edges))
+    assert np.array_equal(got, structured_dedup(edges))
+
+
+@pytest.mark.parametrize("bits,sorts", [(52, []), (53, ["argsort"]), (64, ["argsort"])])
+def test_first_keys_packs_the_index_while_it_fits(monkeypatch, bits, sorts):
+    # 4096 keys take 12 index bits: 52 + 12 = 64 still packs, 53 does not.
+    rng = np.random.default_rng(bits)
+    keys = rng.integers(0, 1 << bits, size=4096, dtype=np.uint64, endpoint=False)
+    keys[0] = (1 << bits) - 1  # the widest key
+    keys[rng.integers(0, 4096, 1500)] = keys[rng.integers(0, 4096, 1500)]
+    first = {}
+    for key in keys.tolist():
+        first.setdefault(key, len(first))
+    calls = spy_dedup_sorts(monkeypatch)
+    got = _first_keys(keys.copy(), bits)
+    assert calls == sorts
+    assert got.tolist() == list(first)
+
+
+def test_first_keys_sorts_the_batch_in_place():
+    # The packed branch holds the key array and a chunk, never a second batch.
+    # Each of 4096 keys occurs about 256 times, so runs of equal keys cross
+    # the boundaries of the chunks it works in.
+    keys = np.random.default_rng(8).integers(0, 1 << 12, size=1 << 20, dtype=np.uint64)
+    want = keys[np.sort(np.unique(keys, return_index=True)[1])]
+    tracemalloc.start()
+    try:
+        got = _first_keys(keys, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(got, keys)
+    assert peak < keys.nbytes // 4
+    assert np.array_equal(got, want)
