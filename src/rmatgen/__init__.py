@@ -55,6 +55,7 @@ from .postprocess import (
     EdgeOutsideDeclaredTile,
     ScrambleKey,
     dedup_local,
+    dedup_stream,
     make_scramble_key,
     scramble,
     scramble_edges,
@@ -104,7 +105,7 @@ __all__ = [
     "MAX_PLAN_TILES", "MAX_TILE_BITS", "PartitionPlan", "PlanTooLarge", "TileCount",
     "default_plan", "generate_part", "generate_part_stream", "plan_tiles",
     "split_quadrant_counts",
-    "EdgeOutsideDeclaredTile", "ScrambleKey", "dedup_local",
+    "EdgeOutsideDeclaredTile", "ScrambleKey", "dedup_local", "dedup_stream",
     "make_scramble_key", "scramble", "scramble_edges",
     "to_undirected",
     "MAX_ENUM_K", "CellHistogram", "ChiSquareResult", "DegreeStats",

@@ -14,16 +14,12 @@ loop over it; perfbench/ is the harness whose timings count.
 `generate_stream`, or, on a tiled run, batches of the part's tiles from
 `generate_part_stream`.  It appends each unit to a temp file as it
 arrives, so memory holds a bounded window of units, not -m edges.
---dedup is global: it packs each unit as it arrives into one uint64 key
-per edge, (max << k) | min under --undirected, keeps the first
-occurrences with postprocess._first_keys and rebuilds the kept edges a
-block at a time for scramble and the write.  That holds about 8 bytes
-per edge while 2k plus the bits of an edge's index fit 64 (k=20 at
-m=2^22), and about 32 past that, where the sort needs an argsort; for
-k > 32 it gathers the edges themselves, about 42 bytes per edge.
-DEDUP_BYTES_PER_EDGE bounds them all, and is checked against physical
-memory before the table is built: for all -m edges, or, on one part of
-a tiled run, which is planned first, for the edges of its tiles.
+--dedup is global: postprocess.dedup_stream reduces the whole stream
+and hands back the kept edges a block at a time for scramble and the
+write.  Its memory grows with the edges it holds, so DEDUP_BYTES_PER_EDGE
+times them is checked against physical memory before the table is built:
+all -m edges, or, on one part of a tiled run, which is planned first,
+the edges of its tiles.
 The temp file is renamed into place last, so a failed run leaves no
 file.  Exit codes: 0 on success, 1 for a failing `verify` verdict, 2 on
 any error.
@@ -39,17 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import DEFAULT_BLOCK_SIZE, GenConfig, _collect, generate_stream
+from .generator import DEFAULT_BLOCK_SIZE, GenConfig, generate_stream
 from .params import GRAPH500, RmatParams, validate
 from .partition import _plan_cells, default_plan, generate_part_stream
 from .postprocess import (
-    dedup_local,
-    _first_keys,
+    DEDUP_BYTES_PER_EDGE,
+    dedup_stream,
     make_scramble_key,
-    _pack_keys,
     scramble_edges,
     to_undirected,
-    _unpack_keys,
 )
 from .stats import MAX_ENUM_K, _cells, chi_square, exact_cell_probs, pool_small_cells
 from .table import (
@@ -63,15 +57,6 @@ from .table import (
 
 #: Default thread count when --threads is absent.
 THREADS_ENV = "RMAT_THREADS"
-
-#: Peak bytes `generate --dedup` holds per requested edge, as the slope of
-#: peak RSS from m=2^20 to 2^22 with --undirected --scramble.  At k=20 it
-#: holds one packed key per edge: 52.7 and 77.4 MB, 8 B per edge.  At k=30
-#: the key no longer packs with its index and an argsort adds its order and
-#: sorted copy: 32 B.  For k > 32 the edges, the sort's order, one sorted
-#: column and the kept rows: 95.5 and 224.3 MB at k=40, 42 B.  64 bounds
-#: every path.
-DEDUP_BYTES_PER_EDGE = 64
 
 
 class InvalidConfig(ValueError):
@@ -242,21 +227,6 @@ def _text_block(edges: np.ndarray) -> np.ndarray:
     return digits.T[keep.T]
 
 
-def _gather_keys(total: int, units, k: int, mirror: bool) -> tuple[np.ndarray, int]:
-    """A unit stream's keys, (u << k) | v or (max << k) | min with mirror, and its samples.
-
-    Each unit is packed into its slice of one array allocated first, so
-    the edges themselves are never held.
-    """
-    keys = np.empty(total, dtype=np.uint64)
-    lo = samples = 0
-    for edges, used in units:
-        _pack_keys(edges, k, mirror, keys[lo : lo + len(edges)])
-        lo += len(edges)
-        samples += used
-    return keys, samples
-
-
 def _append_edges(f, fmt: str, edges: np.ndarray) -> None:
     if fmt == "binary":
         # Consecutive (u, v) records of two 64-bit little-endian uints.
@@ -309,27 +279,14 @@ def run_generate(config: RunConfig) -> int:
     else:
         units = generate_stream(GenConfig(params=params, table=table, edge_count=config.m,
                                           seed=config.seed, threads=config.threads))
-    samples, B = 0, DEFAULT_BLOCK_SIZE
-    if config.dedup and config.k > 32:
-        # Two k-bit ids do not fit one uint64 key: gather the edges themselves.
-        edges, samples = _collect(held, units)
-        if config.undirected:
-            edges = to_undirected(edges)
-        kept = dedup_local(edges)
-        del edges
-        units = ((kept[lo : lo + B], 0) for lo in range(0, len(kept), B))
-    elif config.dedup:
-        # Dedup is global, so this path holds one key per edge, then the kept ones.
-        keys, samples = _gather_keys(held, units, config.k, config.undirected)
-        keys = _first_keys(keys, 2 * config.k)
-        units = ((_unpack_keys(keys[lo : lo + B], config.k), 0)
-                 for lo in range(0, len(keys), B))
+    if config.dedup:
+        units = dedup_stream(units, held, config.k, config.k, config.undirected)
     elif config.undirected:
         units = ((to_undirected(e), used) for e, used in units)
     if config.scramble:
         key = make_scramble_key(config.seed, config.k)
         units = ((scramble_edges(e, key), used) for e, used in units)
-    written = write_s = 0
+    samples = written = write_s = 0
 
     def drain(f) -> None:
         nonlocal written, samples, write_s

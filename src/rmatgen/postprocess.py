@@ -6,21 +6,26 @@ the lower-left triangle and scrambling applies a seed-determined
 permutation to vertex IDs, so structural position no longer correlates
 with ID value; both cost constant work per edge, and scramble runs its
 rounds in place on one owned copy, in uint32 lanes when k <= 32.
-Duplicate removal sorts, O(log m) work per edge over a batch of m edges.
-Both ids pack into one uint64 key (_pack_keys), and _first_keys keeps the
-first occurrence of each key in stream order.  While the key and an
-index into the batch fit one word together, that is two in-place sorts
-of the key array and no other array of the batch's size; wider keys
-take an argsort.  dedup_local and `rmat generate --dedup` share it.
+
+Duplicate removal is dedup_stream, the one routine behind dedup_local
+and `rmat generate --dedup`: it fills one preallocated array as units
+arrive and keeps each edge's first occurrence in stream order, sorting
+O(log m) work per edge.  The ids' widths choose the sort.  While both
+ids pack into one uint64 key, (u << vbits) | v, _first_keys reduces the
+keys: two in-place sorts with the edge's index in the key's low and then
+its high bits while both fit one word, an argsort where they do not.
+Wider ids keep the rows themselves for _first_rows's stable lexsort.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import MASK64, mix64
+from .generator import DEFAULT_BLOCK_SIZE
 
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -111,30 +116,19 @@ def scramble_edges(edges: np.ndarray, key: ScrambleKey) -> np.ndarray:
     return scramble(edges, key)
 
 
+#: Peak bytes `rmat generate --dedup` holds per generated edge, as the slope
+#: of peak RSS from m=2^20 to 2^22 with --undirected --scramble (2-core
+#: Xeon, numpy 2.4).  At k=20 one packed key per edge: 52.6 and 77.3 MB,
+#: 8 B.  At k=30 the key no longer packs with its index, and the argsort
+#: adds its order and a sorted copy: 78.5 and 177.1 MB, 32 B.  At k=40 the
+#: rows (16 B) and the lexsort's order and two column buffers (24 B), or
+#: later the kept rows and their indices: 95.4 and 224.3 MB, 42 B.  64
+#: bounds every path.
+DEDUP_BYTES_PER_EDGE = 64
+
 #: Words per pass of _first_keys's index, head and rotation loops, so their
 #: temporaries stay a few hundred KB whatever the batch.
 _CHUNK = 1 << 15
-
-
-def _pack_keys(edges: np.ndarray, shift: int, mirror: bool, out: np.ndarray) -> None:
-    """Write (u << shift) | v of each (u, v) row of a uint64 edge array into out.
-
-    With mirror, (u, v) is the canonical (max, min), so the key is that of
-    to_undirected's row.  Ids must be below 2^shift for the key to be unique.
-    """
-    u, v = edges[:, 0], edges[:, 1]
-    if mirror:
-        u, v = np.maximum(u, v), np.minimum(u, v)
-    np.left_shift(u, np.uint64(shift), out=out)
-    out |= v
-
-
-def _unpack_keys(keys: np.ndarray, shift: int, dtype=np.uint64) -> np.ndarray:
-    """The (n, 2) edge array whose _pack_keys(..., shift, ...) keys are keys."""
-    edges = np.empty((len(keys), 2), dtype=dtype)
-    edges[:, 0] = keys >> np.uint64(shift)
-    edges[:, 1] = keys & np.uint64((1 << shift) - 1)
-    return edges
 
 
 def _first_keys(keys: np.ndarray, bits: int) -> np.ndarray:
@@ -192,6 +186,69 @@ def _first_keys(keys: np.ndarray, bits: int) -> np.ndarray:
     return keys
 
 
+def _first_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (n, 2) uint64 array in order of first occurrence.
+
+    A stable lexsort starts each run of equal rows at its first occurrence.
+    """
+    order = np.lexsort((rows[:, 1], rows[:, 0]))
+    new = np.zeros(len(rows), dtype=bool)
+    new[:1] = True
+    for col in (0, 1):  # one sorted column at a time
+        s = rows[order, col]
+        new[1:] |= s[1:] != s[:-1]
+        del s
+    first = np.sort(order[new])
+    del order
+    return rows[first]
+
+
+def dedup_stream(
+    units: Iterable[tuple[np.ndarray, int]],
+    total: int,
+    ubits: int,
+    vbits: int,
+    mirror: bool = False,
+) -> Iterator[tuple[np.ndarray, int]]:
+    """The first occurrence of each edge of a unit stream, in stream order.
+
+    units yields (edges, samples), (n, 2) uint64 edges adding up to total
+    rows, or ValueError, with u < 2^ubits and v < 2^vbits once mirror has
+    made each row to_undirected's (max, min).  Each unit goes as it
+    arrives into its slice of one array allocated first: the keys
+    (u << vbits) | v for _first_keys while they fit a uint64, else the
+    rows for _first_rows.  The kept edges come out in blocks of at most
+    DEFAULT_BLOCK_SIZE, and the first block, yielded even when empty,
+    carries every sample the input used.
+    """
+    packed = ubits + vbits <= 64
+    held = np.empty(total if packed else (total, 2), dtype=np.uint64)
+    lo = samples = 0
+    for edges, used in units:
+        u, v = edges[:, 0], edges[:, 1]
+        if mirror:
+            u, v = np.maximum(u, v), np.minimum(u, v)
+        hi = lo + len(edges)
+        if packed:
+            np.left_shift(u, np.uint64(vbits), out=held[lo:hi])
+            held[lo:hi] |= v
+        else:
+            held[lo:hi, 0], held[lo:hi, 1] = u, v
+        lo = hi
+        samples += used
+        del edges, u, v  # not held while the next unit is made, nor through the sort
+    if lo != total:  # the rest of held was never written
+        raise ValueError(f"units held {lo} edges, not the {total} declared")
+    held = _first_keys(held, ubits + vbits) if packed else _first_rows(held)
+    shift, low = np.uint64(vbits), np.uint64((1 << vbits) - 1)
+    for lo in range(0, max(len(held), 1), DEFAULT_BLOCK_SIZE):
+        block = held[lo : lo + DEFAULT_BLOCK_SIZE]
+        if packed:
+            block = np.column_stack((block >> shift, block & low))
+        yield block, samples
+        samples = 0
+
+
 def dedup_local(
     edges: np.ndarray,
     row_range: tuple[int, int] | None = None,
@@ -199,11 +256,10 @@ def dedup_local(
 ) -> np.ndarray:
     """Drop duplicate edges within one block or tile, keeping first occurrences.
 
-    Order is otherwise preserved.  When both ids of unsigned edges pack
-    into one uint64 key, _first_keys finds the first occurrences, the
-    same routine `rmat generate --dedup` runs, and the kept rows are
-    rebuilt from their keys; wider ids go through a stable lexsort
-    instead, where each group starts at its first.
+    Order is otherwise preserved, and so is the integer dtype.  The edges
+    are dedup_stream's one unit, sized by their largest ids; signed ids
+    are compared as their uint64 bit patterns, so negative ones take the
+    lexsort.
 
     When row_range/col_range (half-open) are declared, every edge must
     fall inside them; the ranges exist so a caller deduplicating tile by
@@ -218,23 +274,7 @@ def dedup_local(
         lo, hi = col_range
         if int(edges[:, 1].min()) < lo or int(edges[:, 1].max()) >= hi:
             raise EdgeOutsideDeclaredTile(f"col outside [{lo}, {hi})")
-    if len(edges) == 0:
-        return edges.copy()
-    u, v = edges[:, 0], edges[:, 1]
-    ubits, vbits = int(u.max()).bit_length(), int(v.max()).bit_length()
-    if edges.dtype.kind == "u" and ubits + vbits <= 64:
-        keys = np.empty(len(edges), dtype=np.uint64)
-        _pack_keys(edges.astype(np.uint64, copy=False), vbits, False, keys)
-        return _unpack_keys(_first_keys(keys, ubits + vbits), vbits, edges.dtype)
-    order = np.lexsort((v, u))  # stable, so each run of equal pairs starts at its first
-    new = np.empty(len(order), dtype=bool)
-    new[0] = True
-    s = u[order]  # one sorted column at a time
-    np.not_equal(s[1:], s[:-1], out=new[1:])
-    s = v[order]
-    new[1:] |= s[1:] != s[:-1]
-    del s
-    first = order[new]
-    del order
-    first.sort()
-    return edges[first]
+    ids = edges.view(np.uint64) if edges.dtype.itemsize == 8 else edges.astype(np.uint64)
+    ubits, vbits = (int(ids[:, i].max(initial=0)).bit_length() for i in (0, 1))
+    kept = [block for block, _ in dedup_stream([(ids, 0)], len(ids), ubits, vbits)]
+    return np.concatenate(kept, dtype=edges.dtype, casting="unsafe")

@@ -348,7 +348,7 @@ def test_dedup_beyond_memory_exits_2_before_generating(tmp_path, capsys, monkeyp
     def unreachable(*args, **kwargs):
         raise AssertionError("generated edges")
 
-    for name in ("generate_stream", "generate_part_stream", "_collect", "_gather_keys"):
+    for name in ("generate_stream", "generate_part_stream", "dedup_stream"):
         monkeypatch.setattr(cli_mod, name, unreachable)
     monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 1000 * cli_mod.DEDUP_BYTES_PER_EDGE - 1)
     rc = main(["generate", "-k", "8", "-m", "1000", "--dedup", *tiles, "-o", str(tmp_path / "x.bin")])

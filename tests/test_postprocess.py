@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from rmatgen import (
+    DEFAULT_BLOCK_SIZE,
     EdgeOutsideDeclaredTile,
     cell_histogram,
     chi_square,
     dedup_local,
+    dedup_stream,
     degree_stats,
     emit_block,
     exact_cell_probs,
@@ -243,7 +245,7 @@ def edges_with_repeats(seed, n, ubits, vbits, dtype=np.uint64):
         (40, 40, np.uint64, True),
         (62, 62, np.uint64, True),
         (64, 64, np.uint64, True),
-        (20, 20, np.int64, True),
+        (20, 20, np.int64, False),  # non-negative signed ids pack as their bit patterns
     ],
 )
 def test_dedup_matches_structured_oracle(monkeypatch, ubits, vbits, dtype, lexsort):
@@ -375,7 +377,7 @@ def test_scramble_bytes_pinned(k, seed, digest):
         (np.full((20000, 2), (1 << 30) - 1, dtype=np.uint64), ["argsort"]),
         (edges_with_repeats(33, 20000, 33, 32), ["lexsort"]),  # 65 key bits
         (np.full((1000, 2), (1 << 33) - 1, dtype=np.uint64), ["lexsort"]),
-        (edges_with_repeats(20, 20000, 20, 20, np.int64), ["lexsort"]),  # signed ids
+        (edges_with_repeats(20, 20000, 20, 20, np.int64), []),  # signed, non-negative
         (np.empty((0, 2), dtype=np.int64), []),
     ],
     ids=["empty", "one-row", "packed-k16", "all-equal-packed", "argsort-band",
@@ -421,3 +423,52 @@ def test_first_keys_sorts_the_batch_in_place():
     assert np.shares_memory(got, keys)
     assert peak < keys.nbytes // 4
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mirror", [False, True], ids=["directed", "mirrored"])
+@pytest.mark.parametrize("k,sorts", [(16, []), (30, ["argsort"]), (40, ["lexsort"])],
+                         ids=["packed", "band", "rows"])
+def test_dedup_stream_output_does_not_depend_on_unit_cuts(monkeypatch, k, sorts, mirror):
+    n = 2 * DEFAULT_BLOCK_SIZE + 1000
+    edges = edges_with_repeats(k, n, k, k)
+    want = dedup_local(to_undirected(edges) if mirror else edges)
+    assert DEFAULT_BLOCK_SIZE < len(want) < n  # several blocks out, duplicates dropped
+    rng = np.random.default_rng(k)
+    cuttings = [
+        [0, n],
+        [0, 0, 1, n],  # an empty unit, then a one-edge unit
+        [0, *np.sort(rng.integers(0, n, 40)).tolist(), n],
+        [0, n - 1, n, n],
+    ]
+    calls = spy_dedup_sorts(monkeypatch)
+    for bounds in cuttings:
+        units = [(edges[lo:hi], hi - lo + 3) for lo, hi in zip(bounds, bounds[1:])]
+        calls.clear()
+        blocks = list(dedup_stream(iter(units), n, k, k, mirror))
+        assert calls == sorts
+        assert blocks[0][1] == sum(used for _, used in units)  # all samples, once
+        assert all(used == 0 for _, used in blocks[1:])
+        assert all(0 < len(b) <= DEFAULT_BLOCK_SIZE and b.dtype == np.uint64 for b, _ in blocks)
+        assert np.array_equal(np.concatenate([b for b, _ in blocks]), want)
+
+
+@pytest.mark.parametrize("k", [16, 40])
+@pytest.mark.parametrize("total", [5, 3])
+def test_dedup_stream_rejects_a_stream_of_another_length(k, total):
+    units = [(edges_of((1, 2), (3, 4)), 5), (edges_of((1, 2), (5, 6)), 5)]
+    with pytest.raises(ValueError):
+        next(dedup_stream(iter(units), total, k, k))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_dedup_compares_negative_ids_by_bit_pattern(monkeypatch, dtype):
+    edges = edges_with_repeats(7, 20000, 20, 20, dtype) - dtype(1 << 19)  # both signs
+    low = np.iinfo(dtype).min
+    edges[[5, 9, 700]] = [(low, -1), (low, -1), (-1, low)]
+    assert (edges < 0).any(axis=1).mean() > 0.4
+    calls = spy_dedup_sorts(monkeypatch)
+    got = dedup_local(edges)
+    assert calls == ["lexsort"]  # a negative id's bit pattern fills 64 bits
+    assert got.dtype == edges.dtype
+    assert np.array_equal(got, first_seen_oracle(edges))
+    assert np.array_equal(got, structured_dedup(edges))
