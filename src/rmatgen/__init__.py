@@ -52,7 +52,6 @@ from .partition import (
     split_quadrant_counts,
 )
 from .postprocess import (
-    EdgeOutsideDeclaredTile,
     ScrambleKey,
     dedup_local,
     dedup_stream,
@@ -105,9 +104,8 @@ __all__ = [
     "MAX_PLAN_TILES", "MAX_TILE_BITS", "PartitionPlan", "PlanTooLarge", "TileCount",
     "default_plan", "generate_part", "generate_part_stream", "plan_tiles",
     "split_quadrant_counts",
-    "EdgeOutsideDeclaredTile", "ScrambleKey", "dedup_local", "dedup_stream",
-    "make_scramble_key", "scramble", "scramble_edges",
-    "to_undirected",
+    "ScrambleKey", "dedup_local", "dedup_stream", "make_scramble_key", "scramble",
+    "scramble_edges", "to_undirected",
     "MAX_ENUM_K", "CellHistogram", "ChiSquareResult", "DegreeStats",
     "KTooLargeForEnumeration", "SampleTooSmall", "cell_histogram",
     "chi_square", "chi_square_quantile", "degree_stats", "exact_cell_probs",

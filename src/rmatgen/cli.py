@@ -14,12 +14,14 @@ loop over it; perfbench/ is the harness whose timings count.
 `generate_stream`, or, on a tiled run, batches of the part's tiles from
 `generate_part_stream`.  It appends each unit to a temp file as it
 arrives, so memory holds a bounded window of units, not -m edges.
---dedup is global: postprocess.dedup_stream reduces the whole stream
-and hands back the kept edges a block at a time for scramble and the
-write.  Its memory grows with the edges it holds, so DEDUP_BYTES_PER_EDGE
-times them is checked against physical memory before the table is built:
-all -m edges, or, on one part of a tiled run, which is planned first,
-the edges of its tiles.
+Postprocessing is one chain over the units, each stage on when its
+option is: --undirected maps each unit through to_undirected, --dedup
+runs postprocess.dedup_stream over the whole stream, which hands back
+the kept edges a block at a time, and --scramble maps what is left.
+--dedup is global, and its memory grows with the edges it holds, so
+DEDUP_BYTES_PER_EDGE times them is checked against physical memory
+before the table is built: all -m edges, or, on one part of a tiled
+run, which is planned first, the edges of its tiles.
 The temp file is renamed into place last, so a failed run leaves no
 file.  Exit codes: 0 on success, 1 for a failing `verify` verdict, 2 on
 any error.
@@ -45,7 +47,14 @@ from .postprocess import (
     scramble_edges,
     to_undirected,
 )
-from .stats import MAX_ENUM_K, _cells, chi_square, exact_cell_probs, pool_small_cells
+from .stats import (
+    MAX_ENUM_K,
+    MIN_EXPECTED,
+    _cells,
+    chi_square,
+    exact_cell_probs,
+    pool_small_cells,
+)
 from .table import (
     DEFAULT_DEPTH_CAP,
     FragmentTable,
@@ -54,9 +63,6 @@ from .table import (
     dump_table,
     perturb_table,
 )
-
-#: Default thread count when --threads is absent.
-THREADS_ENV = "RMAT_THREADS"
 
 
 class InvalidConfig(ValueError):
@@ -100,19 +106,6 @@ class RunConfig:
     noise: float = 0.0
 
 
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InvalidConfig(f"{THREADS_ENV}={raw!r} is not an integer")
-    if n < 1:
-        raise InvalidConfig(f"{THREADS_ENV} must be >= 1, got {n}")
-    return n
-
-
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
     """Cross-field validation that argparse cannot express."""
     kind = getattr(ns, "table", "variable")
@@ -149,10 +142,7 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
         if not 0 <= part < parts:
             raise InvalidConfig(f"--part must be in [0, {parts}), got {part}")
 
-    # Only subcommands with --threads read the environment; table-dump runs none.
     threads = getattr(ns, "threads", 1)
-    if threads is None:
-        threads = _default_threads()
     if threads < 1:
         raise InvalidConfig(f"--threads must be >= 1, got {threads}")
 
@@ -279,10 +269,10 @@ def run_generate(config: RunConfig) -> int:
     else:
         units = generate_stream(GenConfig(params=params, table=table, edge_count=config.m,
                                           seed=config.seed, threads=config.threads))
-    if config.dedup:
-        units = dedup_stream(units, held, config.k, config.k, config.undirected)
-    elif config.undirected:
+    if config.undirected:
         units = ((to_undirected(e), used) for e, used in units)
+    if config.dedup:
+        units = dedup_stream(units, held, config.k, config.k)
     if config.scramble:
         key = make_scramble_key(config.seed, config.k)
         units = ((scramble_edges(e, key), used) for e, used in units)
@@ -328,7 +318,7 @@ def run_verify(config: RunConfig) -> int:
     for edges, _ in generate_stream(gen_config):
         np.add.at(counts, _cells(edges, config.k), 1)
     probs = exact_cell_probs(params, config.k)
-    if config.m * float(probs.min()) < 5.0:
+    if config.m * float(probs.min()) < MIN_EXPECTED:
         # Pool cells too rare for the classical validity rule (skewed models).
         probs, counts = pool_small_cells(probs, counts)
     result = chi_square(counts, probs)
@@ -378,9 +368,9 @@ def _add_table_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_threads_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"threads filling edge blocks or tile batches, at most one "
-                        f"per core (default: ${THREADS_ENV} or 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="threads filling edge blocks or tile batches, at most one "
+                        "per core (default: 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -540,24 +540,22 @@ def naive_edge(params: RmatParams, k: int, rng: np.random.Generator) -> Edge:
     return Edge(u, v)
 
 
-def naive_edges(
-    params: RmatParams,
-    k: int,
-    count: int,
-    rng: np.random.Generator | int,
-    chunk: int = 1 << 16,
-) -> np.ndarray:
-    """Bulk form of naive_edge, vectorized in chunks of `chunk` edges."""
+#: Edges per vectorized pass of naive_edges; its k uniforms per edge are
+#: drawn one pass at a time, in the order one draw would make them.
+_NAIVE_CHUNK = 1 << 16
+
+
+def naive_edges(params: RmatParams, k: int, count: int, seed: int) -> np.ndarray:
+    """Bulk form of naive_edge, from the oracle stream keyed by seed."""
     _check_k(k)
-    if isinstance(rng, (int, np.integer)):
-        rng = keyed_stream(int(rng), DOMAIN_ORACLE, 0)
+    rng = keyed_stream(int(seed), DOMAIN_ORACLE, 0)
     a, b, c, _ = params.quadrants
     t1, t2, t3 = a, a + b, a + b + c
     w = _ONE << np.arange(k - 1, -1, -1, dtype=np.uint64)
     out = np.empty((count, 2), dtype=np.uint64)
     pos = 0
     while pos < count:
-        n = min(chunk, count - pos)
+        n = min(_NAIVE_CHUNK, count - pos)
         r = rng.random((n, k))
         digit = (r >= t1).view(np.uint8) + (r >= t2).view(np.uint8) + (r >= t3).view(np.uint8)
         out[pos : pos + n, 0] = ((digit >> 1) * w).sum(axis=1)

@@ -83,44 +83,41 @@ def _cells(tiles) -> np.recarray:
 class PartitionPlan:
     """Grid geometry plus the deterministic inputs every part shares.
 
-    owner_rows assigns each part a contiguous, half-open range of tile
-    rows; the ranges must tile [0, 2^t) exactly.
+    The 2^t tile rows are dealt to `parts` in near-equal contiguous,
+    half-open runs, longest first; runs are empty when parts > 2^t.
     """
 
     k: int
     t: int
     m: int
     seed: int
-    owner_rows: tuple[tuple[int, int], ...]
+    parts: int
 
     def __post_init__(self) -> None:
         if not 0 <= self.t <= min(self.k, MAX_TILE_BITS):
             raise ValueError(f"t must be in [0, min(k, {MAX_TILE_BITS})], got {self.t}")
         if not 0 <= self.m < 1 << 63:
             raise ValueError(f"m must be in [0, 2**63), got {self.m}")
-        rows = 1 << self.t
-        pos = 0
-        for lo, hi in self.owner_rows:
-            if lo != pos or hi < lo:
-                raise ValueError(f"owner_rows must tile [0, {rows}) contiguously")
-            pos = hi
-        if pos != rows:
-            raise ValueError(f"owner_rows must cover [0, {rows}), stop at {pos}")
+        if self.parts < 1:
+            raise ValueError(f"parts must be >= 1, got {self.parts}")
+
+    def _rows(self, part: int) -> tuple[int, int]:
+        """The half-open run of tile rows that `part` owns."""
+        if not 0 <= part < self.parts:
+            raise ValueError(f"part must be in [0, {self.parts}), got {part}")
+        base, extra = divmod(1 << self.t, self.parts)
+        lo = part * base + min(part, extra)
+        return lo, lo + base + (part < extra)
+
+    @property
+    def owner_rows(self) -> tuple[tuple[int, int], ...]:
+        """Every part's run of tile rows, in part order; together they tile [0, 2^t)."""
+        return tuple(map(self._rows, range(self.parts)))
 
 
 def default_plan(k: int, t: int, m: int, seed: int, parts: int = 1) -> PartitionPlan:
-    """Plan with tile rows dealt to `parts` in near-equal contiguous runs.
-
-    Run lengths differ by at most one, longest first; runs are empty when
-    parts > 2^t.
-    """
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
-    base, extra = divmod(1 << t, parts)
-    bounds = [0]
-    for i in range(parts):
-        bounds.append(bounds[-1] + base + (i < extra))
-    return PartitionPlan(k=k, t=t, m=m, seed=seed, owner_rows=tuple(zip(bounds, bounds[1:])))
+    """The plan of a 2^t x 2^t grid whose tile rows `parts` parts share."""
+    return PartitionPlan(k=k, t=t, m=m, seed=seed, parts=parts)
 
 
 def split_quadrant_counts(
@@ -151,12 +148,6 @@ def split_quadrant_counts(
     return (n_a, n_b, n_c, rest - n_c)
 
 
-def _owned_rows(plan: PartitionPlan, part: int) -> tuple[int, int]:
-    if not 0 <= part < len(plan.owner_rows):
-        raise ValueError(f"part must be in [0, {len(plan.owner_rows)}), got {part}")
-    return plan.owner_rows[part]
-
-
 def plan_tiles(plan: PartitionPlan, params: RmatParams, part: int = 0) -> list[TileCount]:
     """Edge counts for every tile owned by `part`, zero-count tiles included.
 
@@ -177,7 +168,7 @@ def _tile_list(cells: np.recarray) -> list[TileCount]:
 
 def _plan_cells(plan: PartitionPlan, params: RmatParams, part: int) -> np.recarray:
     """plan_tiles's tiles as one record array of dtype _CELL, in the same order."""
-    lo, hi = _owned_rows(plan, part)
+    lo, hi = plan._rows(part)
     if (hi - lo) << plan.t > MAX_PLAN_TILES:
         raise PlanTooLarge(
             f"plan lists {(hi - lo) << plan.t} tiles, more than {MAX_PLAN_TILES}; "
@@ -266,7 +257,7 @@ def _batch(comp, tiles: np.recarray, k: int, t: int, seed: int,
 
 def _check_tiles(plan: PartitionPlan, part: int, cells: np.recarray) -> None:
     """Reject given tiles that the part could not have planned, naming the first in list order."""
-    lo, hi = _owned_rows(plan, part)  # owner rows lie in [0, 2^t), so rows need no grid check
+    lo, hi = plan._rows(part)  # owner rows lie in [0, 2^t), so rows need no grid check
     row, col = cells.tile_row, cells.tile_col
     outside = (row < lo) | (row >= hi) | (col < 0) | (col >= 1 << plan.t)
     # Keys are distinct inside the grid; a tile outside it may share a key

@@ -1,11 +1,13 @@
 """Per-edge postprocessing: mirroring, ID scrambling, duplicate removal.
 
 All three stages are pure functions, so they compose freely with
-blockwise or tile-wise generation.  Mirroring canonicalizes an edge into
-the lower-left triangle and scrambling applies a seed-determined
-permutation to vertex IDs, so structural position no longer correlates
-with ID value; both cost constant work per edge, and scramble runs its
-rounds in place on one owned copy, in uint32 lanes when k <= 32.
+blockwise or tile-wise generation.  Mirroring, to_undirected and no
+other code, canonicalizes an edge into the lower-left triangle; an
+undirected stream is mirrored unit by unit ahead of dedup.  Scrambling
+applies a seed-determined permutation to vertex IDs, so structural
+position no longer correlates with ID value.  Both cost constant work
+per edge, and scramble runs its rounds in place on one owned copy, in
+uint32 lanes when k <= 32.
 
 Duplicate removal is dedup_stream, the one routine behind dedup_local
 and `rmat generate --dedup`: it fills one preallocated array as units
@@ -28,10 +30,6 @@ from ._rng import MASK64, mix64
 from .generator import DEFAULT_BLOCK_SIZE
 
 _GOLDEN = 0x9E3779B97F4A7C15
-
-
-class EdgeOutsideDeclaredTile(ValueError):
-    """An edge endpoint falls outside the tile the batch was declared for."""
 
 
 def to_undirected(edges: np.ndarray) -> np.ndarray:
@@ -208,13 +206,12 @@ def dedup_stream(
     total: int,
     ubits: int,
     vbits: int,
-    mirror: bool = False,
 ) -> Iterator[tuple[np.ndarray, int]]:
     """The first occurrence of each edge of a unit stream, in stream order.
 
     units yields (edges, samples), (n, 2) uint64 edges adding up to total
-    rows, or ValueError, with u < 2^ubits and v < 2^vbits once mirror has
-    made each row to_undirected's (max, min).  Each unit goes as it
+    rows, or ValueError, with u < 2^ubits and v < 2^vbits.  An undirected
+    stream is mapped through to_undirected first.  Each unit goes as it
     arrives into its slice of one array allocated first: the keys
     (u << vbits) | v for _first_keys while they fit a uint64, else the
     rows for _first_rows.  The kept edges come out in blocks of at most
@@ -225,18 +222,15 @@ def dedup_stream(
     held = np.empty(total if packed else (total, 2), dtype=np.uint64)
     lo = samples = 0
     for edges, used in units:
-        u, v = edges[:, 0], edges[:, 1]
-        if mirror:
-            u, v = np.maximum(u, v), np.minimum(u, v)
         hi = lo + len(edges)
         if packed:
-            np.left_shift(u, np.uint64(vbits), out=held[lo:hi])
-            held[lo:hi] |= v
+            np.left_shift(edges[:, 0], np.uint64(vbits), out=held[lo:hi])
+            held[lo:hi] |= edges[:, 1]
         else:
-            held[lo:hi, 0], held[lo:hi, 1] = u, v
+            held[lo:hi] = edges
         lo = hi
         samples += used
-        del edges, u, v  # not held while the next unit is made, nor through the sort
+        del edges  # not held while the next unit is made, nor through the sort
     if lo != total:  # the rest of held was never written
         raise ValueError(f"units held {lo} edges, not the {total} declared")
     held = _first_keys(held, ubits + vbits) if packed else _first_rows(held)
@@ -249,31 +243,14 @@ def dedup_stream(
         samples = 0
 
 
-def dedup_local(
-    edges: np.ndarray,
-    row_range: tuple[int, int] | None = None,
-    col_range: tuple[int, int] | None = None,
-) -> np.ndarray:
-    """Drop duplicate edges within one block or tile, keeping first occurrences.
+def dedup_local(edges: np.ndarray) -> np.ndarray:
+    """Drop duplicate edges of one array, keeping first occurrences.
 
     Order is otherwise preserved, and so is the integer dtype.  The edges
     are dedup_stream's one unit, sized by their largest ids; signed ids
     are compared as their uint64 bit patterns, so negative ones take the
     lexsort.
-
-    When row_range/col_range (half-open) are declared, every edge must
-    fall inside them; the ranges exist so a caller deduplicating tile by
-    tile notices edges that leaked into the wrong batch, which would make
-    local dedup unsound globally.
     """
-    if row_range is not None and len(edges):
-        lo, hi = row_range
-        if int(edges[:, 0].min()) < lo or int(edges[:, 0].max()) >= hi:
-            raise EdgeOutsideDeclaredTile(f"row outside [{lo}, {hi})")
-    if col_range is not None and len(edges):
-        lo, hi = col_range
-        if int(edges[:, 1].min()) < lo or int(edges[:, 1].max()) >= hi:
-            raise EdgeOutsideDeclaredTile(f"col outside [{lo}, {hi})")
     ids = edges.view(np.uint64) if edges.dtype.itemsize == 8 else edges.astype(np.uint64)
     ubits, vbits = (int(ids[:, i].max(initial=0)).bit_length() for i in (0, 1))
     kept = [block for block, _ in dedup_stream([(ids, 0)], len(ids), ubits, vbits)]

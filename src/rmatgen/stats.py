@@ -21,6 +21,10 @@ from .params import RmatParams
 #: Enumerating 4^k cells is only sensible while they fit in memory.
 MAX_ENUM_K = 12
 
+#: The classical validity rule of the chi-square test: every cell expects
+#: at least this many counts.  Rarer cells are pooled first.
+MIN_EXPECTED = 5.0
+
 
 class KTooLargeForEnumeration(ValueError):
     """Cell enumeration requested for k beyond the 4^k practicality bound."""
@@ -110,8 +114,8 @@ def chi_square(
     """Pearson goodness-of-fit of observed counts against expected probs.
 
     Requires every expected cell count total*p to clear the classical
-    validity rule total >= 5 / min(p); callers with sparse tails should
-    pool first (pool_small_cells).
+    validity rule total >= MIN_EXPECTED / min(p); callers with sparse
+    tails should pool first (pool_small_cells).
     """
     counts = observed.counts if isinstance(observed, CellHistogram) else np.asarray(observed)
     expected = np.asarray(expected, dtype=np.float64)
@@ -124,9 +128,9 @@ def chi_square(
     if abs(float(expected.sum()) - 1.0) > 1e-6:
         raise InvalidExpectedVector(f"expected probabilities sum to {expected.sum()!r}, not 1")
     total = int(counts.sum())
-    if total < 5.0 / float(expected.min()):
+    if total < MIN_EXPECTED / float(expected.min()):
         raise SampleTooSmall(
-            f"need at least {math.ceil(5.0 / float(expected.min()))} observations "
+            f"need at least {math.ceil(MIN_EXPECTED / float(expected.min()))} observations "
             f"for the smallest cell, got {total}"
         )
     e = total * expected
@@ -139,18 +143,14 @@ def chi_square(
     )
 
 
-def pool_small_cells(
-    probs: np.ndarray,
-    counts: np.ndarray,
-    min_expected: float = 5.0,
-) -> tuple[np.ndarray, np.ndarray]:
+def pool_small_cells(probs: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Merge low-expectation cells into one pooled cell.
 
-    Cells whose expected count total*p falls below min_expected are
+    Cells whose expected count total*p falls below MIN_EXPECTED are
     combined, smallest first, until the pool itself clears the bar; the
     pooled cell is appended last.  Returns (probs, counts) ready for
     chi_square.  Raises SampleTooSmall if even full pooling cannot reach
-    min_expected per cell.
+    MIN_EXPECTED per cell.
     """
     probs = np.asarray(probs, dtype=np.float64)
     counts = np.asarray(counts)
@@ -160,15 +160,15 @@ def pool_small_cells(
     expected = probs * total
     # Pool the n smallest cells, where n is the largest count for which the
     # n-th smallest cell is individually short OR the pool is still short.
-    short = expected[order] < min_expected
+    short = expected[order] < MIN_EXPECTED
     n_pool = int(short.sum())
-    while 0 < n_pool < len(probs) and csum[n_pool - 1] < min_expected:
+    while 0 < n_pool < len(probs) and csum[n_pool - 1] < MIN_EXPECTED:
         n_pool += 1
     if n_pool == 0:
         return probs, counts
     if n_pool >= len(probs):
         raise SampleTooSmall(
-            f"pooling all {len(probs)} cells still cannot reach {min_expected} expected"
+            f"pooling all {len(probs)} cells still cannot reach {MIN_EXPECTED} expected"
         )
     pooled = order[:n_pool]
     kept = np.sort(order[n_pool:])

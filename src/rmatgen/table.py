@@ -140,19 +140,12 @@ def build_fixed_table(params: RmatParams, depth: int) -> FragmentTable:
     """
     if not 1 <= depth <= MAX_FIXED_DEPTH:
         raise DepthOutOfRange(f"fixed depth must be in [1, {MAX_FIXED_DEPTH}], got {depth}")
-    n = 4**depth
-    codes = np.arange(n, dtype=np.uint64)
     quads = np.array(params.quadrants, dtype=np.float64)
-    row = np.zeros(n, dtype=np.uint64)
-    col = np.zeros(n, dtype=np.uint64)
-    probs = np.ones(n, dtype=np.float64)
-    one = np.uint64(1)
-    for level in range(depth):
-        digit = (codes >> np.uint64(2 * (depth - 1 - level))) & np.uint64(3)
-        row = (row << one) | (digit >> one)
-        col = (col << one) | (digit & one)
-        probs *= quads[digit]
-    dep = np.full(n, depth, dtype=np.uint64)
+    probs = np.ones(1)
+    row = col = np.zeros(1, dtype=np.uint64)
+    for _ in range(depth):
+        probs, row, col = _children(quads, probs, row, col)
+    dep = np.full(len(probs), depth, dtype=np.uint64)
     return _assemble(row, col, dep, probs, "fixed", params.quadrants)
 
 
@@ -291,20 +284,19 @@ def table_stats(table: FragmentTable) -> TableStats:
     )
 
 
-def perturb_table(table: FragmentTable, noise_level: float, rng) -> FragmentTable:
+def perturb_table(table: FragmentTable, noise_level: float, seed: int) -> FragmentTable:
     """Smooth the sampling distribution with multiplicative uniform noise.
 
     Each entry's probability is scaled by an independent factor uniform in
-    [1 - noise_level, 1 + noise_level], then the vector is renormalized.
-    Bit strings and depths are untouched; a fresh sampler is built.  rng is
-    either a numpy Generator or an integer seed.
+    [1 - noise_level, 1 + noise_level], drawn from the stream keyed by
+    seed, then the vector is renormalized.  Bit strings and depths are
+    untouched; a fresh sampler is built.
     """
     if not 0.0 <= noise_level < 1.0 or not math.isfinite(noise_level):
         raise NoiseOutOfRange(f"noise_level must be in [0, 1), got {noise_level!r}")
     if noise_level == 0.0:
         return table
-    if not isinstance(rng, np.random.Generator):
-        rng = keyed_stream(int(rng), DOMAIN_PERTURB, 0)
+    rng = keyed_stream(int(seed), DOMAIN_PERTURB, 0)
     factors = 1.0 - noise_level + 2.0 * noise_level * rng.random(len(table))
     probs = table.probs * factors
     probs /= probs.sum()

@@ -408,33 +408,12 @@ def test_retired_sweep_is_usage_error(name, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
-def test_threads_env_sets_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("RMAT_THREADS", "2")
-    via_env = gen(tmp_path, "env.bin")
-    monkeypatch.delenv("RMAT_THREADS")
-    explicit = gen(tmp_path, "flag.bin", "--threads", "2")
-    assert via_env.read_bytes() == explicit.read_bytes()
-
-
-def test_threads_env_rejected_when_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("RMAT_THREADS", "0")
-    assert main(["generate", "-k", "4", "-m", "10", "--format", "none"]) == 2
-    monkeypatch.setenv("RMAT_THREADS", "lots")
-    assert main(["generate", "-k", "4", "-m", "10", "--format", "none"]) == 2
-    assert "not an integer" in capsys.readouterr().err
-
-
-def test_threads_env_ignored_without_threads_option(capsys, monkeypatch):
-    monkeypatch.setenv("RMAT_THREADS", "0")
-    assert main(["table-dump", "-k", "2", "--table", "fixed", "--depth", "1"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 4
-
-
-def test_flag_overrides_threads_env(monkeypatch):
-    monkeypatch.setenv("RMAT_THREADS", "0")
-    rc = main(["generate", "-k", "4", "-m", "10", "--format", "none",
-               "--threads", "1"])
-    assert rc == 0
+@pytest.mark.parametrize("value", ["lots", "0"])
+def test_threads_env_is_not_read(tmp_path, monkeypatch, value):
+    # The environment sets nothing: --threads alone picks the thread count.
+    explicit = gen(tmp_path, "flag.bin", "--threads", "1")
+    monkeypatch.setenv("RMAT_THREADS", value)
+    assert gen(tmp_path, "env.bin").read_bytes() == explicit.read_bytes()
 
 
 # ----------------------------------------------------------------- file I/O

@@ -198,20 +198,36 @@ def test_default_plan_rejects_zero_parts():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(k=4, t=5, m=1, seed=0, owner_rows=((0, 32),)),
-        dict(k=4, t=-1, m=1, seed=0, owner_rows=((0, 1),)),
-        dict(k=40, t=32, m=1, seed=0, owner_rows=((0, 1 << 32),)),
-        dict(k=4, t=2, m=-1, seed=0, owner_rows=((0, 4),)),
-        dict(k=4, t=2, m=1 << 63, seed=0, owner_rows=((0, 4),)),
-        dict(k=4, t=2, m=1, seed=0, owner_rows=((0, 2), (3, 4))),
-        dict(k=4, t=2, m=1, seed=0, owner_rows=((0, 2), (1, 4))),
-        dict(k=4, t=2, m=1, seed=0, owner_rows=((0, 3),)),
-        dict(k=4, t=2, m=1, seed=0, owner_rows=((0, 2), (2, 1))),
+        dict(k=4, t=5, m=1, seed=0, parts=1),
+        dict(k=4, t=-1, m=1, seed=0, parts=1),
+        dict(k=40, t=32, m=1, seed=0, parts=1),
+        dict(k=4, t=2, m=-1, seed=0, parts=1),
+        dict(k=4, t=2, m=1 << 63, seed=0, parts=1),
+        dict(k=4, t=2, m=1, seed=0, parts=0),
+        dict(k=4, t=2, m=1, seed=0, parts=-1),
+        dict(k=4, t=0, m=1, seed=0, parts=0),
+        dict(k=8, t=4, m=1, seed=0, parts=-(1 << 40)),
     ],
 )
 def test_partition_plan_rejects_bad_geometry(kwargs):
     with pytest.raises(ValueError):
         PartitionPlan(**kwargs)
+
+
+def test_partition_plan_deals_rows_from_parts():
+    # The loop that dealt the rows when plans were built from a list of runs.
+    for t in range(5):
+        for parts in range(1, (1 << t) + 3):
+            base, extra = divmod(1 << t, parts)
+            bounds = [0]
+            for i in range(parts):
+                bounds.append(bounds[-1] + base + (i < extra))
+            plan = PartitionPlan(k=6, t=t, m=10, seed=1, parts=parts)
+            assert plan.owner_rows == tuple(zip(bounds, bounds[1:]))
+            assert plan == default_plan(6, t, 10, 1, parts)
+    for parts in (0, -1):
+        with pytest.raises(ValueError):
+            PartitionPlan(k=6, t=2, m=10, seed=1, parts=parts)
 
 
 # --------------------------------------------------------------------- tiles

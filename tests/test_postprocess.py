@@ -6,7 +6,6 @@ import pytest
 
 from rmatgen import (
     DEFAULT_BLOCK_SIZE,
-    EdgeOutsideDeclaredTile,
     cell_histogram,
     chi_square,
     dedup_local,
@@ -187,24 +186,18 @@ def test_dedup_matches_sort_and_scan_oracle():
 
 
 def test_dedup_within_declared_tile():
+    # The edges of one tile (rows [4, 6), cols [8, 10)), deduplicated on their own.
     edges = edges_of((4, 9), (4, 9), (5, 8))
-    out = dedup_local(edges, row_range=(4, 6), col_range=(8, 10))
+    out = dedup_local(edges)
     assert out.tolist() == [[4, 9], [5, 8]]
 
 
-def test_dedup_rejects_row_outside_tile():
-    with pytest.raises(EdgeOutsideDeclaredTile):
-        dedup_local(edges_of((4, 9), (6, 9)), row_range=(4, 6), col_range=(8, 10))
-
-
-def test_dedup_rejects_col_outside_tile():
-    with pytest.raises(EdgeOutsideDeclaredTile):
-        dedup_local(edges_of((4, 9), (5, 3)), row_range=(4, 6), col_range=(8, 10))
-
-
 def test_dedup_empty_with_ranges_is_fine():
-    out = dedup_local(np.empty((0, 2), dtype=np.uint64), row_range=(0, 1), col_range=(0, 1))
-    assert len(out) == 0
+    # A row range that holds none of a batch's edges cuts an empty tile.
+    edges = edges_of((4, 9), (5, 8))
+    tile = edges[(edges[:, 0] >= 0) & (edges[:, 0] < 1)]
+    out = dedup_local(tile)
+    assert out.shape == (0, 2) and out.dtype == np.uint64
 
 
 def structured_dedup(edges):
@@ -272,14 +265,16 @@ def test_dedup_keeps_first_occurrences_in_order(base):
 
 
 @pytest.mark.parametrize("base", [0, 1 << 40])
-def test_dedup_range_checks_hold_on_both_paths(base):
-    rows, cols = (base + 4, base + 6), (base + 8, base + 10)
-    inside = edges_of((base + 4, base + 9), (base + 4, base + 9), (base + 5, base + 8))
-    assert dedup_local(inside, row_range=rows, col_range=cols).tolist() == inside[[0, 2]].tolist()
-    with pytest.raises(EdgeOutsideDeclaredTile):
-        dedup_local(edges_of((base + 4, base + 9), (base + 6, base + 9)), rows, cols)
-    with pytest.raises(EdgeOutsideDeclaredTile):
-        dedup_local(edges_of((base + 4, base + 9), (base + 5, base + 3)), rows, cols)
+def test_dedup_range_checks_hold_on_both_paths(monkeypatch, base):
+    # The ids' range picks the path: packed keys at base 0, the lexsort of
+    # the rows at 2^40.  Either way the kept edges are first occurrences
+    # and stay inside the tile the input came from.
+    calls = spy_dedup_sorts(monkeypatch)
+    edges = edges_of((base + 4, base + 9), (base + 4, base + 9), (base + 5, base + 8))
+    out = dedup_local(edges)
+    assert out.tolist() == edges[[0, 2]].tolist()
+    assert calls == ([] if base == 0 else ["lexsort"])
+    assert all(base + 4 <= u < base + 6 and base + 8 <= v < base + 10 for u, v in out.tolist())
 
 
 def first_seen_oracle(edges):
@@ -429,6 +424,7 @@ def test_first_keys_sorts_the_batch_in_place():
 @pytest.mark.parametrize("k,sorts", [(16, []), (30, ["argsort"]), (40, ["lexsort"])],
                          ids=["packed", "band", "rows"])
 def test_dedup_stream_output_does_not_depend_on_unit_cuts(monkeypatch, k, sorts, mirror):
+    # A mirrored stream is each unit through to_undirected, as `generate --undirected` makes it.
     n = 2 * DEFAULT_BLOCK_SIZE + 1000
     edges = edges_with_repeats(k, n, k, k)
     want = dedup_local(to_undirected(edges) if mirror else edges)
@@ -442,9 +438,10 @@ def test_dedup_stream_output_does_not_depend_on_unit_cuts(monkeypatch, k, sorts,
     ]
     calls = spy_dedup_sorts(monkeypatch)
     for bounds in cuttings:
-        units = [(edges[lo:hi], hi - lo + 3) for lo, hi in zip(bounds, bounds[1:])]
+        units = [(to_undirected(edges[lo:hi]) if mirror else edges[lo:hi], hi - lo + 3)
+                 for lo, hi in zip(bounds, bounds[1:])]
         calls.clear()
-        blocks = list(dedup_stream(iter(units), n, k, k, mirror))
+        blocks = list(dedup_stream(iter(units), n, k, k))
         assert calls == sorts
         assert blocks[0][1] == sum(used for _, used in units)  # all samples, once
         assert all(used == 0 for _, used in blocks[1:])
