@@ -15,7 +15,7 @@ Typical use:
                                edge_count=10**6, seed=1))
 """
 
-from .alias import AliasTable, alias_sample, build_alias
+from .alias import AliasTable, build_alias
 from .generator import (
     DEFAULT_BLOCK_SIZE,
     Edge,
@@ -96,7 +96,7 @@ from .table import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AliasTable", "alias_sample", "build_alias",
+    "AliasTable", "build_alias",
     "DEFAULT_BLOCK_SIZE", "Edge", "GenConfig", "GenResult", "emit_block",
     "generate", "generate_result", "generate_stream", "naive_edge", "naive_edges",
     "GRAPH500", "MAX_K", "BadExponent", "NegativeOrZeroWeight", "RmatParams",

@@ -26,8 +26,8 @@ words: 90 ms, against 16-26 ms for one draw of all their words):
   four 64-bit words, so the pieces of one key are streams that no other
   piece reaches before 2^66 words, and a big tile's pieces can be drawn
   side by side (Salmon et al., "Parallel random numbers: as easy as 1,
-  2, 3", SC 2011).  A stream also holds the word-stream kernel's carry,
-  so one stream's edges can be made in chunks.
+  2, 3", SC 2011).  A stream also holds where the kernels stopped in
+  its fragments, so one stream's edges can be made in chunks.
 - Resuming at word w sets the counter to (w // 4, piece, 0, 0) with an
   empty buffer and discards w % 4 words, because numpy's Philox steps
   the counter before it fills each 4-word buffer.
@@ -40,7 +40,7 @@ words: 90 ms, against 16-26 ms for one draw of all their words):
 
 `keyed_stream` still builds numpy's own Generator for callers that hold a
 stream across other work or need floats (the naive oracle, table
-perturbation, the scalar reference emitter).
+perturbation).
 """
 
 from __future__ import annotations
@@ -104,10 +104,12 @@ class Stream:
 
     piece is the counter's second word: piece p of a key draws the words
     numpy's Philox gives for that key from counter (0, p, 0, 0), and piece
-    0 is `keyed_stream`'s stream.  carry is set by the word-stream kernel
-    when it stops inside a fragment: the fragment drawn at `pos` still has
-    that many low bits to emit, and the next call on this stream starts
-    with them.
+    0 is `keyed_stream`'s stream.  Between kernel calls, pos and carry
+    say where the stream's edges stopped, the same for both kernels: with
+    carry 0 the edges end on a fragment boundary and pos is the next
+    fragment's word; otherwise the fragment drawn at pos still has its low
+    `carry` bits to emit, and the next call on this stream starts with
+    them.
     """
 
     __slots__ = ("key", "piece", "pos", "carry")

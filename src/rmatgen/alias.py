@@ -1,8 +1,10 @@
 """Walker alias tables with Vose's construction: O(n) build, O(1) sampling.
 
-A draw needs one uniform variate, split by the caller into a bucket index
-and a fraction; the sampler compares the fraction against the bucket's
-threshold and returns either the bucket's own index or its alias.
+A draw needs one uniform variate, split into a bucket index and a
+fraction; it keeps the bucket's own index while the fraction lies below
+the bucket's threshold and takes the bucket's alias otherwise.  The
+emission kernels make that choice with integer arithmetic
+(`generator._select`).
 """
 
 from __future__ import annotations
@@ -172,19 +174,3 @@ def _merge(r, a, b):
     x[is_small] = a[:took]
     x[~is_small] = b[: steps - took]
     return is_small, np.cumsum(seq, out=seq)[::2], before
-
-
-def alias_sample(table: AliasTable, uniform_draw):
-    """Resolve one draw (index_part, fraction_part) to an entry index.
-
-    Accepts scalars or equal-shaped arrays and is branch-free either way:
-    returns index_part where fraction_part < threshold[index_part], else
-    alias[index_part].  Consumes nothing from any RNG -- the caller provides
-    the single uniform draw.
-    """
-    idx, frac = uniform_draw
-    idx = np.asarray(idx, dtype=np.int64)
-    out = np.where(np.asarray(frac) < table.threshold[idx], idx, table.alias[idx])
-    if out.ndim == 0:
-        return int(out)
-    return out

@@ -1,34 +1,35 @@
 """Edge emission: turning sampled fragments into batches of R-MAT edges.
 
-The emission loop appends each sampled fragment's row and column bits to
-a pair of accumulators and extracts an edge whenever k bits have piled
-up.  The module-private reference emitter spells out that loop one
-fragment at a time around an explicit EdgeEmitState.  Two vectorized
-kernels produce the same bytes, and the test suite keeps all three
-bit-identical:
+Edge j is the k-bit window at bit j*k of the sampled fragments' row bits
+and of their column bits.  Two vectorized kernels cut those windows, and
+the test suite holds both to a scalar loop, one fragment at a time:
 
-- The word-stream kernel serves every table.  It packs the sampled
-  fragments into one uint64 bit stream per side (row and column) and cuts
-  edge j as the k-bit window at bit j*k, a fixed number of vector
-  operations per edge.  It takes a batch of (count, stream) segments and
-  emits their edges back to back, which lets the partition module fill
-  many small tiles in one call.  Where it stops inside a fragment, it
-  leaves a carry on the stream (see `_rng.Stream`), and the next chunk or
-  call on that stream goes on from there with the same bits.
+- The word-stream kernel serves every variable-depth table.  It packs the
+  sampled fragments into one uint64 bit stream per side (row and column)
+  and cuts edge j as the k-bit window at bit j*k, a fixed number of
+  vector operations per edge.
 - The fixed-depth kernel exploits the periodic alignment of equal-depth
-  fragments with edges.  It serves the blocks of every fixed-depth table
-  at any k, with row and column bits in one 64-bit lane up to k = 32 and
-  in two lanes above, and it is about twice as fast as the word stream.
+  fragments with edges.  It serves every unit of a fixed-depth table,
+  blocks and tile batches alike, at any k, with row and column bits in
+  one 64-bit lane up to k = 32 and in two lanes above, and it is about
+  twice as fast as the word stream.
+
+One driver, `_emit`, takes a batch of (count, stream) segments and emits
+their edges back to back, which lets the partition module fill many
+small tiles in one call; a block is one segment.  It works through a
+call in chunks of at most _CHUNK_EDGES edges, each written into its
+slice of the call's output, so the temporaries scale with a chunk, not
+with the call.  Where a chunk stops, the kernel leaves the stream's
+place in its fragments (see `_rng.Stream`), and the next chunk or call
+on that stream goes on from there with the same bits.
 
 Both kernels sample with one 64-bit word per fragment: its high half
 picks an alias bucket and its low half keeps the bucket or jumps to the
 bucket's alias, by two gathers and integer arithmetic (`_select`, no
-`np.where`).  They work through a call in chunks of at most
-_CHUNK_EDGES edges, each written into its slice of the call's output, so
-their temporaries scale with a chunk, not with the call.  The
-word-stream kernel sizes each piece's first draw at its mean sample
-count plus a few standard deviations (`_draw_sizes`) and tops up the
-rare piece that falls short; the words drawn never depend on the sizes.
+`np.where`).  The word-stream kernel sizes each piece's first draw at
+its mean sample count plus a few standard deviations (`_draw_sizes`) and
+tops up the rare piece that falls short; the words drawn never depend on
+the sizes.
 
 `naive_edge` / `naive_edges` implement the textbook one-draw-per-level
 generator that serves as the statistical oracle and the performance
@@ -53,13 +54,12 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from ._rng import DOMAIN_BLOCK, DOMAIN_ORACLE, Stream, keyed_stream
-from .alias import alias_sample
 from .params import MAX_K, BadExponent, RmatParams
 from .table import FragmentTable, _check_model
 
@@ -91,22 +91,6 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 class Edge(NamedTuple):
     u: int
     v: int
-
-
-@dataclass
-class EdgeEmitState:
-    """Accumulator state of the scalar emission loop.
-
-    row_acc and col_acc hold the not-yet-emitted bits with the oldest
-    (first sampled) bits in the most significant positions; acc_len is
-    how many bits each holds.  Plain Python ints: a deep fragment landing
-    on a nearly full accumulator can push acc_len to k - 1 + max_depth,
-    past one machine word.
-    """
-
-    row_acc: int = 0
-    col_acc: int = 0
-    acc_len: int = 0
 
 
 @dataclass(frozen=True)
@@ -191,6 +175,7 @@ def _select(comp: _Compiled, raw: np.ndarray) -> np.ndarray:
     return idx + np.take(comp.jump, idx) * ((raw & _MASK32) >= np.take(comp.thr32, idx))
 
 
+@cache
 def _fixed_plan(k: int, l: int) -> tuple[int, int, list[list[tuple[int, int, int]]]]:
     """Static piece layout for a fixed-depth table.
 
@@ -216,32 +201,32 @@ def _fixed_plan(k: int, l: int) -> tuple[int, int, list[list[tuple[int, int, int
     return ge, gf, plan
 
 
-def _emit_fixed(comp: _Compiled, k: int, count: int, stream: Stream) -> tuple[np.ndarray, int]:
-    """Kernel for tables where every fragment has the same depth.
+def _fixed_chunk(comp: _Compiled, k: int, counts: np.ndarray, streams: list[Stream],
+                 out: np.ndarray) -> int:
+    """One chunk of the fixed-depth kernel, with _emit_words's arguments and result.
 
-    Geometry is periodic, so the block is reshaped into rows of ge edges
-    fed by gf fragments, and every piece becomes one scalar shift-and-mask
-    over a contiguous fragment column.  No per-element index arithmetic
-    survives into the hot loop.  Chunks of about _CHUNK_EDGES edges start
-    on period boundaries, where fragments and edges align, so each chunk
-    draws its own fragments and none carries bits to the next.
+    Fragments and edges align every period of ge edges and gf fragments,
+    so every piece of an edge is one scalar shift-and-mask over a
+    contiguous fragment column.  A stream's edges start in the period that
+    holds its next edge, found from its (pos, carry); that period's words
+    are drawn again, and the edges outside the stream's count are dropped.
+    Each stream is left with the (pos, carry) that _emit_words leaves.
     """
     l = comp.fixed_depth
     assert l is not None and comp.packed is not None
     ge, gf, plan = _fixed_plan(k, l)
-    edges = np.empty((count, 2), dtype=np.uint64)
-    step = max(1, _CHUNK_EDGES // ge) * ge
-    for lo in range(0, count, step):
-        _fixed_chunk(comp, k, gf, plan, stream, edges[lo : lo + step])
-    return edges, (count * k + l - 1) // l  # the pad words drawn are never observable
-
-
-def _fixed_chunk(comp: _Compiled, k: int, gf: int, plan: list, stream: Stream,
-                 out: np.ndarray) -> None:
-    """One chunk of the fixed-depth kernel, from a period boundary on: its edges into out."""
-    ge = len(plan)
-    nsuper = (len(out) + ge - 1) // ge
-    sel = _select(comp, stream.words(nsuper * gf))
+    draws, firsts, nsuper, samples = [], [], 0, 0
+    for count, stream in zip(counts.tolist(), streams):
+        done = ((stream.pos + (stream.carry > 0)) * l - stream.carry) // k
+        period, skip = divmod(done, ge)
+        stream.pos, periods = period * gf, -(-(skip + count) // ge)
+        draws.append(stream.words(periods * gf))
+        firsts.append(nsuper * ge + skip)  # its first edge among all periods' edges
+        nsuper += periods
+        bits = (done + count) * k
+        samples += -(-bits // l) + (-done * k // l)  # the pad words drawn are never observable
+        stream.pos, stream.carry = bits // l, -bits % l
+    sel = _select(comp, np.concatenate(draws))
 
     # One gather, then a transpose so each of the gf fragment columns is
     # contiguous.  Up to k = 32 one lane carries both sides, row bits in
@@ -272,29 +257,31 @@ def _fixed_chunk(comp: _Compiled, k: int, gf: int, plan: list, stream: Stream,
             lane |= piece(*p)
         acc[:, :, j] = lane
 
-    lanes = acc.reshape(len(acc), -1)[:, : len(out)]
+    # Each stream's edges sit from its first one on among the periods' edges.
+    at = np.repeat(np.array(firsts) - (np.cumsum(counts) - counts), counts) + np.arange(len(out))
+    lanes = np.take(acc.reshape(len(acc), -1), at, axis=1)
     if k <= 32:
         np.right_shift(lanes[0], np.uint64(32), out=out[:, 0])
         np.bitwise_and(lanes[0], _MASK32, out=out[:, 1])
     else:
         out.T[:] = lanes
     _held.scratch = frag
+    return samples
 
 
-def _emit_general(
-    comp: _Compiled, k: int, segments: list[tuple[int, Stream]]
-) -> tuple[np.ndarray, int]:
-    """Word-stream kernel for arbitrary (variable-depth) tables.
+def _emit(comp: _Compiled, k: int, segments: list[tuple[int, Stream]]) -> tuple[np.ndarray, int]:
+    """The one kernel entry, for blocks and tile batches of any table.
 
     segments lists (count, stream) pairs whose edges come out back to
-    back, each cut from its own stream's fragment bits.  The call walks
-    them in chunks of at most _CHUNK_EDGES edges, each written into its
-    slice of the output, so its temporaries scale with a chunk, not with
-    the call.  A segment that a chunk boundary cuts goes on in the next
-    chunk from the carry the first part left on its stream, and so can a
-    later call that takes the same stream.  Returns the edges and the
-    number of samples they used.
+    back, each cut from its own stream's fragment bits.  The table picks
+    the kernel, and the call walks the segments in chunks of at most
+    _CHUNK_EDGES edges, each written into its slice of the output.  A
+    segment that a chunk boundary cuts goes on in the next chunk from the
+    (pos, carry) the first part left on its stream, and so can a later
+    call that takes the same stream.  Returns the edges and the number of
+    samples they used.
     """
+    chunk = _emit_words if comp.fixed_depth is None else _fixed_chunk
     counts = np.array([count for count, _ in segments], dtype=np.int64)
     streams = [stream for count, stream in segments if count]
     counts = counts[counts > 0]
@@ -316,7 +303,7 @@ def _emit_general(
                                    (np.searchsorted(ends, his) + 1).tolist()):
         # The chunk's part of each segment it overlaps.
         pieces = np.minimum(ends[first:stop], hi) - np.maximum(starts[first:stop], lo)
-        samples += _emit_words(comp, k, pieces, streams[first:stop], edges[lo:hi])
+        samples += chunk(comp, k, pieces, streams[first:stop], edges[lo:hi])
     return edges, samples
 
 
@@ -460,14 +447,6 @@ def _depth_sums(
     return csum, lo, base
 
 
-def _emit(comp: _Compiled, k: int, count: int, stream: Stream) -> tuple[np.ndarray, int]:
-    if count == 0:
-        return np.empty((0, 2), dtype=np.uint64), 0
-    if comp.fixed_depth is not None:
-        return _emit_fixed(comp, k, count, stream)
-    return _emit_general(comp, k, [(count, stream)])
-
-
 def _check_k(k: int) -> None:
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or not 1 <= k <= MAX_K:
         raise BadExponent(f"k must be an integer in [1, {MAX_K}], got {k!r}")
@@ -487,44 +466,8 @@ def emit_block(
         raise ValueError(f"count must be >= 0, got {count}")
     seed, block_index = stream_key
     stream = Stream(int(seed), DOMAIN_BLOCK, int(block_index))
-    edges, _ = _emit(_compile(table), int(k), int(count), stream)
+    edges, _ = _emit(_compile(table), int(k), [(int(count), stream)])
     return edges
-
-
-def _emit_reference(
-    table: FragmentTable, k: int, count: int, stream_key: tuple[int, int]
-) -> tuple[np.ndarray, int]:
-    """Scalar mirror of emit_block, one fragment at a time.
-
-    Consumes the identical word stream and must produce bit-identical
-    edges; it exists so the vectorized kernels have something honest to
-    be compared against.  It draws from numpy's own keyed Generator, so
-    the comparison also checks the kernels' re-keyed Stream handles.
-    """
-    seed, block_index = stream_key
-    gen = keyed_stream(int(seed), DOMAIN_BLOCK, int(block_index))
-    mask = table.sampler.size - 1
-    out = np.empty((count, 2), dtype=np.uint64)
-    st = EdgeEmitState()
-    emitted = 0
-    samples = 0
-    while emitted < count:
-        w = int(gen.bit_generator.random_raw())
-        e = int(alias_sample(table.sampler, ((w >> 32) & mask, (w & 0xFFFFFFFF) * 2.0**-32)))
-        samples += 1
-        d = int(table.depths[e])
-        st.row_acc = (st.row_acc << d) | int(table.row_bits[e])
-        st.col_acc = (st.col_acc << d) | int(table.col_bits[e])
-        st.acc_len += d
-        while st.acc_len >= k and emitted < count:
-            over = st.acc_len - k
-            out[emitted, 0] = (st.row_acc >> over) & ((1 << k) - 1)
-            out[emitted, 1] = (st.col_acc >> over) & ((1 << k) - 1)
-            st.row_acc &= (1 << over) - 1
-            st.col_acc &= (1 << over) - 1
-            st.acc_len = over
-            emitted += 1
-    return out, samples
 
 
 def naive_edge(params: RmatParams, k: int, rng: np.random.Generator) -> Edge:
@@ -610,7 +553,7 @@ def generate_stream(config: GenConfig) -> Iterator[tuple[np.ndarray, int]]:
     _check_k(k)
     comp = _compile(config.table)
     units = (
-        partial(_emit, comp, k, min(B, m - lo), Stream(config.seed, DOMAIN_BLOCK, lo // B))
+        partial(_emit, comp, k, [(min(B, m - lo), Stream(config.seed, DOMAIN_BLOCK, lo // B))])
         for lo in range(0, m, B)
     )
     return _stream_units(-(-m // B), units, config.threads)

@@ -5,9 +5,9 @@ re-derives the number of edges in each tile it owns by walking a 4-ary
 recursion whose multinomial splits are keyed by (seed, recursion path):
 identical inputs give identical counts everywhere, so no messages are
 needed.  Tiles are then filled locally on the remaining k - t index
-bits, each from its own stream keyed by (seed, tile coordinates).  The
-word-stream kernel joins the streams of many small tiles into one call
-of at least a block of edges, so its per-call cost is not paid per tile.
+bits, each from its own stream keyed by (seed, tile coordinates).  One
+call of the table's kernel joins the streams of many small tiles, at
+least a block of edges, so its per-call cost is not paid per tile.
 A tile is cut from its start into pieces of a block; piece p draws from
 the tile's key with p in the Philox counter's second word (see
 `_rng.Stream`), so no piece waits for another, and the pieces of a big
@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rng import DOMAIN_NODE, DOMAIN_TILE, Stream, rekeyed
-from .generator import DEFAULT_BLOCK_SIZE, _collect, _compile, _emit_general, _stream_units
+from .generator import DEFAULT_BLOCK_SIZE, _collect, _compile, _emit, _stream_units
 from .params import RmatParams
 from .table import FragmentTable, _check_model
 
@@ -177,10 +177,13 @@ def _plan_cells(plan: PartitionPlan, params: RmatParams, part: int) -> np.recarr
     # One level of the tree at a time, its nodes' recursion paths, corners
     # and counts as arrays.  Children follow their parents in digit order, so
     # every level, the last too, lists its nodes as a depth-first walk meets them.
-    code = np.ones(1, dtype=np.int64)
-    row = np.zeros(1, dtype=np.int64)
-    col = np.zeros(1, dtype=np.int64)
-    count = np.array([plan.m], dtype=np.int64)
+    # Only levels below the root are pruned, so a part that owns no rows
+    # starts from an empty level: at t = 0 nothing below would drop the root.
+    roots = int(lo < hi)
+    code = np.ones(roots, dtype=np.int64)
+    row = np.zeros(roots, dtype=np.int64)
+    col = np.zeros(roots, dtype=np.int64)
+    count = np.full(roots, plan.m, dtype=np.int64)
     digit = np.arange(4)
     for level in range(plan.t):
         half = 1 << (plan.t - level - 1)
@@ -248,7 +251,7 @@ def _batch(comp, tiles: np.recarray, k: int, t: int, seed: int,
     prefix <<= np.uint64(inner)
     if not inner:
         return np.repeat(prefix, tiles.count, axis=0), 0
-    edges, used = _emit_general(comp, inner, list(zip(tiles.count.tolist(), streams)))
+    edges, used = _emit(comp, inner, list(zip(tiles.count.tolist(), streams)))
     # Repeated after the kernel, into pages its chunks have just freed:
     # repeated before it, tiled-part took 30k page faults, not 14k.
     edges |= np.repeat(prefix, tiles.count, axis=0)

@@ -43,6 +43,22 @@ def variable_table(quads: tuple, k: int, size: int):
     return build_variable_table(params_for(quads, k), size)
 
 
+def alias_sample(table, uniform_draw):
+    """Resolve one draw (index_part, fraction_part) of an alias table to an entry index.
+
+    The float form of the kernels' integer `_select`, for the scalar
+    reference emitter and the alias tests.  Accepts scalars or
+    equal-shaped arrays and is branch-free either way: returns index_part
+    where fraction_part < threshold[index_part], else alias[index_part].
+    """
+    idx, frac = uniform_draw
+    idx = np.asarray(idx, dtype=np.int64)
+    out = np.where(np.asarray(frac) < table.threshold[idx], idx, table.alias[idx])
+    if out.ndim == 0:
+        return int(out)
+    return out
+
+
 @pytest.fixture(scope="session")
 def g500_k4():
     return params_for((0.57, 0.19, 0.19, 0.05), 4)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rmatgen import AliasTable, alias_sample, build_alias
+from rmatgen import AliasTable, build_alias
 from rmatgen import alias as alias_mod
 from rmatgen.alias import AllZeroWeights, EmptyInput, NegativeWeight
-from conftest import SKEWED, UNIFORM, fixed_table, variable_table
+from conftest import SKEWED, UNIFORM, alias_sample, fixed_table, variable_table
 
 
 def test_single_entry_always_selected():

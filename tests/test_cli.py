@@ -195,6 +195,15 @@ def test_generate_partitioned_parts_sum_to_whole(tmp_path):
     assert np.array_equal(pack(merged), pack(read_binary(whole)))
 
 
+def test_generate_part_without_rows_at_t0_writes_nothing(tmp_path, capsys):
+    # One tile row for two parts: part 1 owns none, so it makes no edge.
+    rc = main(["generate", "-k", "20", "-m", "100", "--tiles", "0", "--parts", "2",
+               "--part", "1", "-o", str(tmp_path / "x.bin")])
+    assert rc == 0
+    assert SUMMARY_RE.search(capsys.readouterr().out).groups() == ("0", "0")
+    assert (tmp_path / "x.bin").read_bytes() == b""
+
+
 def test_generate_thread_count_does_not_change_output(tmp_path):
     one = gen(tmp_path, "t1.bin", "--threads", "1")
     four = gen(tmp_path, "t4.bin", "--threads", "4")
@@ -456,10 +465,10 @@ def test_generate_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, tiles):
 def test_generate_streamed_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
     emit = generator._emit
 
-    def failing(comp, k, count, stream):
-        if stream.key[1] == 0:
+    def failing(comp, k, segments):
+        if segments[0][1].key[1] == 0:
             raise MemoryError
-        return emit(comp, k, count, stream)
+        return emit(comp, k, segments)
 
     monkeypatch.setattr(generator, "_emit", failing)
     rc = main(["generate", "-k", "4", "-m", "10", "-o", str(tmp_path / "x.bin")])
@@ -475,10 +484,10 @@ def test_generate_out_of_memory_in_a_thread_exits_2(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     emit = generator._emit
 
-    def failing(comp, k, count, stream):
-        if stream.key[1] == 3:
+    def failing(comp, k, segments):
+        if segments[0][1].key[1] == 3:
             raise MemoryError
-        return emit(comp, k, count, stream)
+        return emit(comp, k, segments)
 
     monkeypatch.setattr(generator, "_emit", failing)
     rc = main(["generate", "-k", "8", "-m", str(4 * DEFAULT_BLOCK_SIZE + 1),

@@ -12,6 +12,8 @@ from rmatgen import (
     DEFAULT_BLOCK_SIZE,
     BadExponent,
     GenConfig,
+    build_fixed_table,
+    build_variable_table,
     cell_histogram,
     chi_square,
     default_plan,
@@ -25,11 +27,64 @@ from rmatgen import (
     validate,
 )
 import rmatgen.generator as generator
-from rmatgen._rng import DOMAIN_BLOCK, Stream, keyed_stream
-from rmatgen.generator import _compile, _emit, _emit_fixed, _emit_general, _emit_reference
-from conftest import SKEWED, UNIFORM, params_for, fixed_table, variable_table
+import rmatgen.partition as partition_mod
+from rmatgen._rng import DOMAIN_BLOCK, Stream, _key, keyed_stream
+from rmatgen.generator import _compile, _emit
+from conftest import SKEWED, UNIFORM, alias_sample, params_for, fixed_table, variable_table
 
 G500 = (0.57, 0.19, 0.19, 0.05)
+
+
+@dataclasses.dataclass
+class EdgeEmitState:
+    """Accumulator state of the scalar emission loop.
+
+    row_acc and col_acc hold the not-yet-emitted bits with the oldest
+    (first sampled) bits in the most significant positions; acc_len is
+    how many bits each holds.  Plain Python ints: a deep fragment landing
+    on a nearly full accumulator can push acc_len to k - 1 + max_depth,
+    past one machine word.
+    """
+
+    row_acc: int = 0
+    col_acc: int = 0
+    acc_len: int = 0
+
+
+def _emit_reference(table, k, count, stream_key, piece=0):
+    """Scalar mirror of emit_block, one fragment at a time.
+
+    Consumes the identical word stream and must produce bit-identical
+    edges; it exists so the vectorized kernels have something honest to
+    be compared against.  It draws from numpy's own Philox, keyed as the
+    block (seed, block_index) and started at piece `piece`, so the
+    comparison also checks the kernels' re-keyed Stream handles.
+    """
+    seed, block_index = stream_key
+    key = np.array(_key(int(seed), DOMAIN_BLOCK, int(block_index)), dtype=np.uint64)
+    bitgen = np.random.Philox(key=key, counter=np.array([0, piece, 0, 0], dtype=np.uint64))
+    mask = table.sampler.size - 1
+    out = np.empty((count, 2), dtype=np.uint64)
+    st = EdgeEmitState()
+    emitted = 0
+    samples = 0
+    while emitted < count:
+        w = int(bitgen.random_raw())
+        e = int(alias_sample(table.sampler, ((w >> 32) & mask, (w & 0xFFFFFFFF) * 2.0**-32)))
+        samples += 1
+        d = int(table.depths[e])
+        st.row_acc = (st.row_acc << d) | int(table.row_bits[e])
+        st.col_acc = (st.col_acc << d) | int(table.col_bits[e])
+        st.acc_len += d
+        while st.acc_len >= k and emitted < count:
+            over = st.acc_len - k
+            out[emitted, 0] = (st.row_acc >> over) & ((1 << k) - 1)
+            out[emitted, 1] = (st.col_acc >> over) & ((1 << k) - 1)
+            st.row_acc &= (1 << over) - 1
+            st.col_acc &= (1 << over) - 1
+            st.acc_len = over
+            emitted += 1
+    return out, samples
 
 
 def table_for(tag):
@@ -65,18 +120,35 @@ def test_general_kernel_agrees_with_fixed_kernel():
         table = fixed_table(G500, 4, depth)
         comp = _compile(table)
         assert comp.fixed_depth == depth
-        ef, nf = _emit_fixed(comp, k, 3000, Stream(1, DOMAIN_BLOCK, 0))
+        ef, nf = _emit(comp, k, [(3000, Stream(1, DOMAIN_BLOCK, 0))])
         forced = dataclasses.replace(comp, fixed_depth=None)
-        eg, ng = _emit_general(forced, k, [(3000, Stream(1, DOMAIN_BLOCK, 0))])
+        eg, ng = _emit(forced, k, [(3000, Stream(1, DOMAIN_BLOCK, 0))])
         assert nf == ng
         assert (ef == eg).all()
 
 
 def test_every_fixed_table_takes_the_fixed_kernel(monkeypatch):
     # Depth 1 at k = 30 spans 31 fragments per edge, and depth 4 at k = 62
-    # needs two 32-bit lanes; neither may fall back to the word stream.
+    # needs two 32-bit lanes; neither may fall back to the word stream,
+    # for blocks or for tile batches.  The batches, of 64 tiles at t = 3,
+    # run in chunks of 1000 edges that cut tiles, and their bytes and
+    # samples are the word stream's.
+    parts = {}
+    with monkeypatch.context() as word_stream:
+        compile_ = partition_mod._compile
+        word_stream.setattr(partition_mod, "_compile",
+                            lambda table: dataclasses.replace(compile_(table), fixed_depth=None))
+        for k, depth in ((30, 1), (48, 2), (62, 4)):
+            parts[k] = generate_part(default_plan(k, 3, 20_000, 4), params_for(G500, k),
+                                     fixed_table(G500, 4, depth))
     calls = []
-    monkeypatch.setattr(generator, "_emit_general", lambda *a: calls.append(a))
+
+    def unreachable(*args):
+        calls.append(args)
+        raise AssertionError("word-stream kernel on a fixed table")
+
+    monkeypatch.setattr(generator, "_emit_words", unreachable)
+    monkeypatch.setattr(generator, "_CHUNK_EDGES", 1000)
     for k, depth in ((30, 1), (48, 2), (62, 4)):
         table = fixed_table(G500, 4, depth)
         res = generate_result(GenConfig(params=params_for(G500, k), table=table,
@@ -84,6 +156,10 @@ def test_every_fixed_table_takes_the_fixed_kernel(monkeypatch):
         for lo in range(0, 1100, 500):
             ref, _ = _emit_reference(table, k, min(500, 1100 - lo), (4, lo // 500))
             assert (res.edges[lo : lo + 500] == ref).all()
+        edges, tiles, used = generate_part(default_plan(k, 3, 20_000, 4), params_for(G500, k),
+                                           table)
+        assert used == parts[k][2]
+        assert (edges == parts[k][0]).all()
     assert calls == []
 
 
@@ -93,15 +169,16 @@ def test_top_up_draws_match_reference(k, tag):
     # An estimate four times too high leaves the first draw short for the
     # counts 17 and 1000, so those streams are topped up, alone and batched.
     table = table_for(tag)
-    starved = dataclasses.replace(_compile(table), mean_depth=4 * table.mean_depth)
+    starved = dataclasses.replace(_compile(table), mean_depth=4 * table.mean_depth,
+                                  fixed_depth=None)
     counts = [1, 17, 1000]
     refs = [_emit_reference(table, k, c, (9, i)) for i, c in enumerate(counts)]
     for i, c in enumerate(counts):
-        got, used = _emit_general(starved, k, [(c, Stream(9, DOMAIN_BLOCK, i))])
+        got, used = _emit(starved, k, [(c, Stream(9, DOMAIN_BLOCK, i))])
         assert used == refs[i][1]
         assert (got == refs[i][0]).all()
     segments = [(c, Stream(9, DOMAIN_BLOCK, i)) for i, c in enumerate(counts)]
-    got, used = _emit_general(starved, k, segments)
+    got, used = _emit(starved, k, segments)
     assert used == sum(r[1] for r in refs)
     assert (got == np.concatenate([r[0] for r in refs])).all()
 
@@ -129,6 +206,39 @@ def test_bucket_mapping_is_exact(tag):
     assert (shares[n:] == 0).all() and shares.sum() == size << 32
     buckets = 1 + np.bincount(alias, minlength=size)[:n]
     assert (np.abs(shares[:n] - table.probs * (size << 32)) <= buckets).all()
+
+
+@pytest.mark.parametrize("quads", [G500, SKEWED], ids=["g500", "skewed"])
+@pytest.mark.parametrize("kind,size", [("fixed", 8), ("fixed", 11), ("variable", 8191),
+                                       ("variable", 4**11)])
+def test_sampler_exactness(quads, kind, size):
+    # Each entry's realized probability, computed exactly from the compiled
+    # table rather than sampled: bucket b keeps its own entry on thr32[b]
+    # of the 2^32 fractions and jumps to b + jump[b] on the rest.  Only the
+    # rounding of each threshold up to a multiple of 2^-32 moves mass, so
+    # the total variation stays below 2^-33 for every table.  On variable
+    # tables every entry keeps a relative error below 3.2e-9.  Fixed depth
+    # 11 holds entries far rarer than one fraction step of a bucket: under
+    # the skewed model the rarest, p = 2.4e-18, is drawn with probability
+    # 5.5e-17, a relative error of 22.3.  The tables are built here, not
+    # cached: the large ones hold hundreds of MB.
+    params = params_for(quads, 20)
+    table = (build_fixed_table(params, size) if kind == "fixed"
+             else build_variable_table(params, size))
+    comp = _compile(table)
+    n, buckets = len(table), len(comp.thr32)
+    shares = comp.thr32.astype(np.int64)
+    np.add.at(shares, np.arange(buckets) + comp.jump, (1 << 32) - shares)
+    assert (shares[n:] == 0).all() and shares.sum() == buckets << 32
+    realized = shares[:n] / float(buckets << 32)
+    assert 0.5 * np.abs(realized - table.probs).sum() <= 2.0**-33
+    worst = float(np.max(np.abs(realized / table.probs - 1)))
+    if kind == "variable":
+        assert worst < 3.2e-9
+    elif size == 11 and quads == SKEWED:
+        assert 22 < worst < 23
+    else:
+        assert worst < 2.5e-3
 
 
 def test_generate_result_bytes_pinned():
@@ -159,7 +269,7 @@ def test_long_fragment_completes_multiple_edges():
 def test_emit_block_single_edge_single_sample():
     table = fixed_table(G500, 4, 4)
     comp = _compile(table)
-    edges, nf = _emit(comp, 4, 1, Stream(7, DOMAIN_BLOCK, 0))
+    edges, nf = _emit(comp, 4, [(1, Stream(7, DOMAIN_BLOCK, 0))])
     assert nf == 1 and edges.shape == (1, 2)
 
 
@@ -299,10 +409,10 @@ def test_block_error_propagates_from_threads(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     emit = generator._emit
 
-    def failing(comp, k, count, stream):
-        if stream.key[1] == 3:
+    def failing(comp, k, segments):
+        if segments[0][1].key[1] == 3:
             raise MemoryError("block 3")
-        return emit(comp, k, count, stream)
+        return emit(comp, k, segments)
 
     monkeypatch.setattr(generator, "_emit", failing)
     params = params_for(G500, 10)
@@ -450,59 +560,72 @@ def test_edges_bounded_by_node_count():
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 13, 1000])
-@pytest.mark.parametrize("k,tag", [(13, "v253"), (62, "s8191"), (13, "f5"), (40, "f8")])
+@pytest.mark.parametrize("k,tag", [(13, "v253"), (62, "s8191"), (13, "f5"), (40, "f8"),
+                                   (1, "f5"), (12, "f8"), (32, "f5"), (33, "f8")])
 def test_chunked_kernels_match_unchunked_and_reference(k, tag, chunk, monkeypatch):
     # Chunks cut the stream of a segment wherever they fill; each part
-    # resumes from its carry.  f8 at k = 40 takes the fixed kernel's two lanes.
+    # resumes from its (pos, carry).  On fixed tables both kernels run the
+    # blocks and the batch: f8 at k = 33 and 40 takes the fixed kernel's
+    # two lanes, and a period of f5 at k = 13 or 32 and of f8 at k = 12 or
+    # 33 holds more edges than the segments of 1, 2 and 3 edges.  The
+    # batch starts with a later piece of its stream, as a tile batch may.
     table = table_for(tag)
     comp = _compile(table)
     general = dataclasses.replace(comp, fixed_depth=None)
-    counts = [300, 1, 45]
-    refs = [_emit_reference(table, k, c, (9, i)) for i, c in enumerate(counts)]
-    def segments():
-        return [(c, Stream(9, DOMAIN_BLOCK, i)) for i, c in enumerate(counts)]
+    counts = [300, 1, 45, 2, 3]
+    refs = [_emit_reference(table, k, c, (9, i), piece=int(i == 0))
+            for i, c in enumerate(counts)]
 
-    whole = _emit_general(general, k, segments())
+    def segments():
+        return [(c, Stream(9, DOMAIN_BLOCK, i, int(i == 0))) for i, c in enumerate(counts)]
+
+    whole = _emit(general, k, segments())
     monkeypatch.setattr(generator, "_CHUNK_EDGES", chunk)
-    for i, c in enumerate(counts):
-        got, used = _emit(comp, k, c, Stream(9, DOMAIN_BLOCK, i))
+    for i, (c, stream) in enumerate(segments()):
+        got, used = _emit(comp, k, [(c, stream)])
         assert used == refs[i][1]
         assert (got == refs[i][0]).all()
-    got, used = _emit_general(general, k, segments())
-    assert used == whole[1] == sum(r[1] for r in refs)
-    assert (got == whole[0]).all()
-    assert (got == np.concatenate([r[0] for r in refs])).all()
+    for kernel in (general, comp):
+        got, used = _emit(kernel, k, segments())
+        assert used == whole[1] == sum(r[1] for r in refs)
+        assert (got == whole[0]).all()
+        assert (got == np.concatenate([r[0] for r in refs])).all()
 
 
 def test_carry_left_on_the_stream():
     # Depth-5 fragments at k = 7: 3 edges are 21 bits, so the fifth
     # fragment is cut after 1 bit and its word is where the stream resumes
     # with 4 bits to go; 2 more edges end exactly on a fragment boundary.
+    # Both kernels leave the same (pos, carry).
     table = fixed_table(G500, 4, 5)
-    general = dataclasses.replace(_compile(table), fixed_depth=None)
     ref, ref_used = _emit_reference(table, 7, 5, (9, 0))
-    stream = Stream(9, DOMAIN_BLOCK, 0)
-    first, used = _emit_general(general, 7, [(3, stream)])
-    assert (used, stream.pos, stream.carry) == (5, 4, 4)
-    second, more = _emit_general(general, 7, [(2, stream)])
-    assert (more, stream.pos, stream.carry) == (2, 7, 0)
-    assert used + more == ref_used == 7
-    assert (np.concatenate([first, second]) == ref).all()
+    fixed = _compile(table)
+    for comp in (fixed, dataclasses.replace(fixed, fixed_depth=None)):
+        stream = Stream(9, DOMAIN_BLOCK, 0)
+        first, used = _emit(comp, 7, [(3, stream)])
+        assert (used, stream.pos, stream.carry) == (5, 4, 4)
+        second, more = _emit(comp, 7, [(2, stream)])
+        assert (more, stream.pos, stream.carry) == (2, 7, 0)
+        assert used + more == ref_used == 7
+        assert (np.concatenate([first, second]) == ref).all()
 
 
 def test_chunk_boundary_on_a_fragment_boundary(monkeypatch):
     # Chunks of 5 edges at k = 7 are 35 bits, seven depth-5 fragments, so
     # every chunk ends with nothing cut and the next starts on a fresh word.
+    # Both kernels leave the same (pos, carry).
     table = fixed_table(G500, 4, 5)
-    general = dataclasses.replace(_compile(table), fixed_depth=None)
     ref, ref_used = _emit_reference(table, 7, 23, (9, 1))
     monkeypatch.setattr(generator, "_CHUNK_EDGES", 5)
-    stream = Stream(9, DOMAIN_BLOCK, 1)
-    got, used = _emit_general(general, 7, [(20, stream)])
-    assert (stream.pos, stream.carry) == (28, 0)
-    rest, more = _emit_general(general, 7, [(3, stream)])
-    assert used + more == ref_used
-    assert (np.concatenate([got, rest]) == ref).all()
+    fixed = _compile(table)
+    for comp in (fixed, dataclasses.replace(fixed, fixed_depth=None)):
+        stream = Stream(9, DOMAIN_BLOCK, 1)
+        got, used = _emit(comp, 7, [(20, stream)])
+        assert (stream.pos, stream.carry) == (28, 0)
+        rest, more = _emit(comp, 7, [(3, stream)])
+        assert (stream.pos, stream.carry) == (32, 4)
+        assert used + more == ref_used
+        assert (np.concatenate([got, rest]) == ref).all()
 
 
 @pytest.mark.parametrize("tag", ["f5", "v253"])
@@ -522,7 +645,7 @@ def test_top_up_draws_in_later_chunks(tag, monkeypatch):
     monkeypatch.setattr(Stream, "words", counted)
     monkeypatch.setattr(generator, "_CHUNK_EDGES", 97)
     ref, ref_used = _emit_reference(table, 13, 1000, (9, 2))
-    got, used = _emit_general(starved, 13, [(1000, Stream(9, DOMAIN_BLOCK, 2))])
+    got, used = _emit(starved, 13, [(1000, Stream(9, DOMAIN_BLOCK, 2))])
     assert used == ref_used
     assert (got == ref).all()
     assert len(draws) > 2 * -(-1000 // 97)
@@ -553,7 +676,7 @@ def test_draws_sized_to_the_depth_spread(monkeypatch):
     assert drawn[0] < 1.10 * used
     assert pieces[0] > 12_000 and calls[0] - pieces[0] <= pieces[0] // 1000
     drawn[0] = calls[0] = pieces[0] = 0
-    _, used = _emit_general(_compile(table), 20, [(DEFAULT_BLOCK_SIZE, Stream(3, DOMAIN_BLOCK, 0))])
+    _, used = _emit(_compile(table), 20, [(DEFAULT_BLOCK_SIZE, Stream(3, DOMAIN_BLOCK, 0))])
     assert drawn[0] < 1.01 * used
     assert calls[0] == pieces[0] == 4
 
@@ -568,7 +691,7 @@ def test_kernel_scratch_scales_with_the_chunk():
         count = n * generator.DEFAULT_BLOCK_SIZE
         tracemalloc.start()
         try:
-            _emit(comp, 20, count, Stream(3, DOMAIN_BLOCK, 0))
+            _emit(comp, 20, [(count, Stream(3, DOMAIN_BLOCK, 0))])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

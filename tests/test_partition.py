@@ -230,6 +230,27 @@ def test_partition_plan_deals_rows_from_parts():
             PartitionPlan(k=6, t=2, m=10, seed=1, parts=parts)
 
 
+def test_parts_plans_hold_m_edges_inside_their_rows():
+    # A part that owns no tile rows plans no tile.  At t = 0 no level
+    # below the root prunes, so such a part once planned the whole matrix.
+    params = params_for(G500, 8)
+    for t in range(4):
+        for parts in range(1, (1 << t) + 3):
+            plan = default_plan(8, t, 1000, 1, parts)
+            total = 0
+            for part in range(parts):
+                lo, hi = plan.owner_rows[part]
+                tiles = plan_tiles(plan, params, part)
+                assert len(tiles) == (hi - lo) << t
+                assert all(lo <= tc.tile_row < hi for tc in tiles)
+                total += sum(tc.count for tc in tiles)
+            assert total == 1000
+    table = variable_table(G500, 8, 253)
+    for part in (1, 2):
+        edges, tiles, used = generate_part(default_plan(8, 0, 1000, 1, 3), params, table, part)
+        assert (edges.shape, tiles, used) == ((0, 2), [], 0)
+
+
 # --------------------------------------------------------------------- tiles
 
 
@@ -489,6 +510,7 @@ def test_table_for_another_model_rejected(monkeypatch):
     monkeypatch.setattr(partition_mod, "plan_tiles", unreachable)
     monkeypatch.setattr(partition_mod, "_plan_cells", unreachable)
     monkeypatch.setattr(generator_mod, "_emit", unreachable)
+    monkeypatch.setattr(partition_mod, "_emit", unreachable)
     k = 8
     params, table = params_for(SKEWED, k), variable_table(G500, k, 253)
     plan = default_plan(k, 2, 1000, 1)
@@ -605,13 +627,13 @@ def test_generate_part_many_small_tiles_bytes_pinned(kind, samples, digest):
 
 def test_generate_part_batches_close_at_one_block(monkeypatch):
     calls = []
-    original = partition_mod._emit_general
+    original = partition_mod._emit
 
     def counting(comp, k, segments):
         calls.append([count for count, _ in segments])
         return original(comp, k, segments)
 
-    monkeypatch.setattr(partition_mod, "_emit_general", counting)
+    monkeypatch.setattr(partition_mod, "_emit", counting)
     k = 14
     plan = default_plan(k=k, t=5, m=400_000, seed=3, parts=2)
     edges, tiles, _ = generate_part(plan, params_for(G500, k), variable_table(G500, k, 253))
@@ -680,14 +702,14 @@ def test_generate_part_error_propagates_from_threads(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     plan, params, table = part_inputs("variable")
     calls = itertools.count()
-    emit = partition_mod._emit_general
+    emit = partition_mod._emit
 
     def failing(comp, k, segments):
         if next(calls) == 2:
             raise MemoryError("batch 2")
         return emit(comp, k, segments)
 
-    monkeypatch.setattr(partition_mod, "_emit_general", failing)
+    monkeypatch.setattr(partition_mod, "_emit", failing)
     raised = []
 
     def run():
@@ -735,11 +757,11 @@ def test_split_tile_equals_one_unsplit_call(kind, count, monkeypatch):
     for p, (edges, used) in enumerate(pieces):
         stream = generator_mod.Stream(seed, partition_mod.DOMAIN_TILE, key, p)
         size = min(DEFAULT_BLOCK_SIZE, count - p * DEFAULT_BLOCK_SIZE)
-        bits, want = partition_mod._emit_general(comp, k - t, [(size, stream)])
+        bits, want = partition_mod._emit(comp, k - t, [(size, stream)])
         assert used == want
         assert np.array_equal(edges, bits | prefix)
     stream = generator_mod.Stream(seed, partition_mod.DOMAIN_TILE, key)
-    uncut, _ = partition_mod._emit_general(comp, k - t, [(count, stream)])
+    uncut, _ = partition_mod._emit(comp, k - t, [(count, stream)])
     uncut |= prefix
     assert np.array_equal(pieces[0][0], uncut[:DEFAULT_BLOCK_SIZE])
     assert not np.array_equal(pieces[1][0], uncut[DEFAULT_BLOCK_SIZE : 2 * DEFAULT_BLOCK_SIZE])
