@@ -23,8 +23,17 @@ DEDUP_BYTES_PER_EDGE times them is checked against physical memory
 before the table is built: all -m edges, or, on one part of a tiled
 run, which is planned first, the edges of its tiles.
 The temp file is renamed into place last, so a failed run leaves no
-file.  Exit codes: 0 on success, 1 for a failing `verify` verdict, 2 on
-any error.
+file.  -o through a symlink renames onto the file the link names, and
+the link stays; an existing -o that is not a regular file, such as a
+FIFO or a device, is opened and written in place, with no temp file.
+
+A run imports the partition module only when it is tiled, postprocess
+only for the options that use it, and stats only for `verify`.  Exit
+codes: 0 on success, 1 for a failing `verify` verdict, 2 on any error.
+`main()` without arguments, the entry of the `rmat` script and of
+`python -m rmatgen.cli`, flushes stdout and stderr and ends the process
+with os._exit, skipping the interpreter's teardown; `main(argv)`
+returns the code.
 """
 
 from __future__ import annotations
@@ -39,22 +48,6 @@ import numpy as np
 
 from .generator import DEFAULT_BLOCK_SIZE, GenConfig, generate_stream
 from .params import GRAPH500, RmatParams, validate
-from .partition import _plan_cells, default_plan, generate_part_stream
-from .postprocess import (
-    DEDUP_BYTES_PER_EDGE,
-    dedup_stream,
-    make_scramble_key,
-    scramble_edges,
-    to_undirected,
-)
-from .stats import (
-    MAX_ENUM_K,
-    MIN_EXPECTED,
-    _cells,
-    chi_square,
-    exact_cell_probs,
-    pool_small_cells,
-)
 from .table import (
     DEFAULT_DEPTH_CAP,
     FragmentTable,
@@ -176,7 +169,18 @@ def _build_table(config: RunConfig, params: RmatParams) -> FragmentTable:
 
 
 def _write_file(path: str, write_body) -> None:
-    """Write via a temp file and atomic rename; no partial file on failure."""
+    """Write via a temp file and atomic rename; no partial file on failure.
+
+    The rename lands on the file a symlink names, so the link stays.  An
+    existing path that is not a regular file, such as a FIFO or a device,
+    is opened and written in place: a rename would replace it.
+    """
+    if os.path.islink(path):
+        path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as f:
+            write_body(f)
+        return
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as f:
@@ -219,8 +223,10 @@ def _text_block(edges: np.ndarray) -> np.ndarray:
 
 def _append_edges(f, fmt: str, edges: np.ndarray) -> None:
     if fmt == "binary":
-        # Consecutive (u, v) records of two 64-bit little-endian uints.
-        edges.astype("<u8", copy=False).tofile(f)
+        # Consecutive (u, v) records of two 64-bit little-endian uints,
+        # written from the array's buffer: ndarray.tofile asks for a file
+        # position, which a FIFO does not have.
+        f.write(np.ascontiguousarray(edges, dtype="<u8"))
         return
     # 'u v' lines, formatted one block at a time so memory stays O(block).
     for lo in range(0, len(edges), DEFAULT_BLOCK_SIZE):
@@ -249,9 +255,13 @@ def run_generate(config: RunConfig) -> int:
     t0 = time.perf_counter()
     tiles = None
     if config.tiles is not None:
+        from .partition import _plan_cells, default_plan, generate_part_stream
+
         plan = default_plan(config.k, config.tiles, config.m, config.seed, config.parts)
         tiles = _plan_cells(plan, params, config.part)
     if config.dedup:
+        from .postprocess import DEDUP_BYTES_PER_EDGE, dedup_stream
+
         held = config.m if tiles is None else int(tiles.count.sum())
         need, have = held * DEDUP_BYTES_PER_EDGE, _physical_memory()
         if need > have:
@@ -270,10 +280,14 @@ def run_generate(config: RunConfig) -> int:
         units = generate_stream(GenConfig(params=params, table=table, edge_count=config.m,
                                           seed=config.seed, threads=config.threads))
     if config.undirected:
+        from .postprocess import to_undirected
+
         units = ((to_undirected(e), used) for e, used in units)
     if config.dedup:
         units = dedup_stream(units, held, config.k, config.k)
     if config.scramble:
+        from .postprocess import make_scramble_key, scramble_edges
+
         key = make_scramble_key(config.seed, config.k)
         units = ((scramble_edges(e, key), used) for e, used in units)
     samples = written = write_s = 0
@@ -304,6 +318,15 @@ def run_generate(config: RunConfig) -> int:
 
 
 def run_verify(config: RunConfig) -> int:
+    from .stats import (
+        MAX_ENUM_K,
+        MIN_EXPECTED,
+        _cells,
+        chi_square,
+        exact_cell_probs,
+        pool_small_cells,
+    )
+
     params = validate(config.a, config.b, config.c, config.d, config.k)
     if config.k > MAX_ENUM_K:
         raise InvalidConfig(f"verify enumerates 4^k cells; k must be <= {MAX_ENUM_K}")
@@ -415,6 +438,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    Called without argv, as the `rmat` script and `python -m rmatgen.cli`
+    call it, it reads sys.argv, and the process ends here once stdout and
+    stderr are flushed: os._exit skips the interpreter's teardown, which
+    frees every module and object one by one for nothing.  Usage errors
+    still exit 2 through argparse's SystemExit.
+    """
+    code = _run(argv)
+    if argv is None:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         config = config_from_args(ns)
@@ -431,4 +471,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

@@ -14,14 +14,15 @@ the test suite holds both to a scalar loop, one fragment at a time:
   one 64-bit lane up to k = 32 and in two lanes above, and it is about
   twice as fast as the word stream.
 
-One driver, `_emit`, takes a batch of (count, stream) segments and emits
-their edges back to back, which lets the partition module fill many
-small tiles in one call; a block is one segment.  It works through a
-call in chunks of at most _CHUNK_EDGES edges, each written into its
-slice of the call's output, so the temporaries scale with a chunk, not
-with the call.  Where a chunk stops, the kernel leaves the stream's
-place in its fragments (see `_rng.Stream`), and the next chunk or call
-on that stream goes on from there with the same bits.
+One entry, `_emit`, takes a batch of segments, a count per row of a
+stream array, and emits their edges back to back, which lets the
+partition module fill many small tiles in one call; a block is one row.
+It works through a call in chunks of at most _CHUNK_EDGES edges, each
+written into its slice of the call's output, so the temporaries scale
+with a chunk, not with the call.  Where a chunk stops, the kernel writes
+each stream's place in its fragments into the arrays (see
+`_rng.Streams`), and the next chunk or call on those streams goes on
+from there with the same bits.
 
 Both kernels sample with one 64-bit word per fragment: its high half
 picks an alias bucket and its low half keeps the bucket or jumps to the
@@ -40,10 +41,13 @@ Every block of edges comes from its own random stream, keyed by
 order with identical results.  One loop, `_stream_units`, yields the
 edges of units (blocks here, tile batches in the partition module) in
 order, run in turn or on threads (numpy releases the GIL) with at most
-two units per thread in flight.  `generate_stream` hands them to a
-caller that writes each as it comes; `generate_result` gathers them.
-The kernels take `_rng.Stream` handles, which re-key one Philox per
-thread instead of building a Generator per block or tile.
+two units per thread in flight; the thread pool, and
+`concurrent.futures` with it, is loaded only by a run that starts one.
+`generate_stream` hands the units to a caller that writes each as it
+comes; `generate_result` gathers them.  The kernels take a unit's
+streams as one `_rng.Streams` array, which re-keys one Philox per thread
+for each stream it draws, instead of building a Generator per block or
+tile.
 """
 
 from __future__ import annotations
@@ -52,14 +56,13 @@ import os
 import threading
 from collections import deque
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
-from ._rng import DOMAIN_BLOCK, DOMAIN_ORACLE, Stream, keyed_stream
+from ._rng import DOMAIN_BLOCK, DOMAIN_ORACLE, MASK64, Streams, keyed_stream
 from .params import MAX_K, BadExponent, RmatParams
 from .table import FragmentTable, _check_model
 
@@ -201,7 +204,7 @@ def _fixed_plan(k: int, l: int) -> tuple[int, int, list[list[tuple[int, int, int
     return ge, gf, plan
 
 
-def _fixed_chunk(comp: _Compiled, k: int, counts: np.ndarray, streams: list[Stream],
+def _fixed_chunk(comp: _Compiled, k: int, counts: np.ndarray, streams: Streams,
                  out: np.ndarray) -> int:
     """One chunk of the fixed-depth kernel, with _emit_words's arguments and result.
 
@@ -215,18 +218,19 @@ def _fixed_chunk(comp: _Compiled, k: int, counts: np.ndarray, streams: list[Stre
     l = comp.fixed_depth
     assert l is not None and comp.packed is not None
     ge, gf, plan = _fixed_plan(k, l)
-    draws, firsts, nsuper, samples = [], [], 0, 0
-    for count, stream in zip(counts.tolist(), streams):
-        done = ((stream.pos + (stream.carry > 0)) * l - stream.carry) // k
-        period, skip = divmod(done, ge)
-        stream.pos, periods = period * gf, -(-(skip + count) // ge)
-        draws.append(stream.words(periods * gf))
-        firsts.append(nsuper * ge + skip)  # its first edge among all periods' edges
-        nsuper += periods
-        bits = (done + count) * k
-        samples += -(-bits // l) + (-done * k // l)  # the pad words drawn are never observable
-        stream.pos, stream.carry = bits // l, -bits % l
-    sel = _select(comp, np.concatenate(draws))
+    done = ((streams.pos + (streams.carry > 0)) * l - streams.carry) // k
+    period, skip = np.divmod(done, ge)
+    periods = -(-(skip + counts) // ge)
+    streams.pos[:] = period * gf
+    raw = streams.words(periods * gf)
+    nsuper = int(periods.sum())
+    firsts = (np.cumsum(periods) - periods) * ge + skip  # first edges among all periods' edges
+    bits = (done + counts) * k
+    # The pad words drawn are never observable.
+    samples = int((-(-bits // l) + (-done * k // l)).sum())
+    streams.pos[:] = bits // l
+    streams.carry[:] = -bits % l
+    sel = _select(comp, raw)
 
     # One gather, then a transpose so each of the gf fragment columns is
     # contiguous.  Up to k = 32 one lane carries both sides, row bits in
@@ -258,7 +262,7 @@ def _fixed_chunk(comp: _Compiled, k: int, counts: np.ndarray, streams: list[Stre
         acc[:, :, j] = lane
 
     # Each stream's edges sit from its first one on among the periods' edges.
-    at = np.repeat(np.array(firsts) - (np.cumsum(counts) - counts), counts) + np.arange(len(out))
+    at = np.repeat(firsts - (np.cumsum(counts) - counts), counts) + np.arange(len(out))
     lanes = np.take(acc.reshape(len(acc), -1), at, axis=1)
     if k <= 32:
         np.right_shift(lanes[0], np.uint64(32), out=out[:, 0])
@@ -269,22 +273,20 @@ def _fixed_chunk(comp: _Compiled, k: int, counts: np.ndarray, streams: list[Stre
     return samples
 
 
-def _emit(comp: _Compiled, k: int, segments: list[tuple[int, Stream]]) -> tuple[np.ndarray, int]:
+def _emit(comp: _Compiled, k: int, counts: np.ndarray, streams: Streams
+          ) -> tuple[np.ndarray, int]:
     """The one kernel entry, for blocks and tile batches of any table.
 
-    segments lists (count, stream) pairs whose edges come out back to
-    back, each cut from its own stream's fragment bits.  The table picks
-    the kernel, and the call walks the segments in chunks of at most
-    _CHUNK_EDGES edges, each written into its slice of the output.  A
-    segment that a chunk boundary cuts goes on in the next chunk from the
-    (pos, carry) the first part left on its stream, and so can a later
-    call that takes the same stream.  Returns the edges and the number of
-    samples they used.
+    counts[i] >= 1 edges come from each row of streams, back to back, each
+    cut from its own stream's fragment bits.  The table picks the kernel,
+    and the call walks the segments in chunks of at most _CHUNK_EDGES
+    edges, each written into its slice of the output.  A chunk gets views
+    of the rows it overlaps, so a segment that a chunk boundary cuts goes
+    on in the next chunk from the (pos, carry) the first part left, and so
+    can a later call that takes the same streams.  Returns the edges and
+    the number of samples they used.
     """
     chunk = _emit_words if comp.fixed_depth is None else _fixed_chunk
-    counts = np.array([count for count, _ in segments], dtype=np.int64)
-    streams = [stream for count, stream in segments if count]
-    counts = counts[counts > 0]
     ends = np.cumsum(counts)
     starts = ends - counts
     total = int(ends[-1]) if len(ends) else 0
@@ -307,7 +309,7 @@ def _emit(comp: _Compiled, k: int, segments: list[tuple[int, Stream]]) -> tuple[
     return edges, samples
 
 
-def _emit_words(comp: _Compiled, k: int, counts: np.ndarray, streams: list[Stream],
+def _emit_words(comp: _Compiled, k: int, counts: np.ndarray, streams: Streams,
                 out: np.ndarray) -> int:
     """One chunk of the word-stream kernel: counts[i] edges from each of the
     streams, back to back, into out; returns their samples.
@@ -319,13 +321,14 @@ def _emit_words(comp: _Compiled, k: int, counts: np.ndarray, streams: list[Strea
     a new sample.  The used fragments of all pieces thus form one bit
     stream, packed most significant bit first into uint64 words (a row
     word and a column word per 64 bits), and edge j is the k-bit window at
-    bit j*k.  Each stream is left at its clamped fragment with the cut
+    bit j*k.  Draws past a piece's last fragment stay in place as entries
+    of no bits.  Each stream is left at its clamped fragment with the cut
     bits as its carry, or past it when nothing was cut.
     """
-    starts = np.array([stream.pos for stream in streams])
-    carry = np.array([stream.carry for stream in streams], dtype=np.uint64)
+    starts = streams.pos.copy()
+    carry = streams.carry.astype(np.uint64)
     needs = counts.astype(np.uint64) * np.uint64(k)
-    sel, csum, lo, base = _cover(comp, needs, streams, carry)
+    sel, dep, csum, lo, base = _cover(comp, needs, streams, carry)
 
     # A piece's last fragment is the first whose end reaches its base plus
     # its need; the bits past that point are its stream's new carry, and
@@ -334,27 +337,26 @@ def _emit_words(comp: _Compiled, k: int, counts: np.ndarray, streams: list[Strea
     last = np.searchsorted(csum, reach)
     nfs = last - lo + 1
     cut = csum[last] - reach
+    streams.pos[:] = starts + nfs - (cut > 0)
+    streams.carry[:] = cut
     resumed = np.flatnonzero(carry)
-    for stream, pos, bits in zip(streams, (starts + last - lo + (cut == 0)).tolist(),
-                                 cut.tolist()):
-        stream.pos, stream.carry = pos, bits
-    if len(streams) == 1:
-        used = sel[: nfs[0]]
-        end = csum[: nfs[0]].copy()
-    else:
-        # Each used entry's index in sel: its place among the used ones
-        # plus the unused draws of the pieces before it.
-        at = np.repeat(lo - (np.cumsum(nfs) - nfs), nfs)
-        at += np.arange(len(at))
-        used = np.take(sel, at)
-        # Rebase each piece's depth sums to where its bits start in the
-        # joint stream.
-        end = np.take(csum, at) - np.repeat(base - (np.cumsum(needs) - needs), nfs)
-    tail = np.cumsum(nfs) - 1
-    end[tail] -= cut
-    vals = np.take(comp.bits, used, axis=1)
-    vals[:, (tail + 1 - nfs)[resumed]] &= (_ONE << carry[resumed]) - _ONE
-    vals[:, tail] >>= cut
+    # The unused draws after each piece's last fragment stay in place as
+    # entries of no bits, and each last fragment is clamped, so the running
+    # sum of the depths is where each entry's bits end in the joint stream.
+    # It stands up to the first piece's last fragment and is summed again
+    # from there, in place; no pass over the entries compacts them.
+    spare = np.diff(lo, append=len(sel)) - nfs
+    idle = np.repeat(last + 1 - (np.cumsum(spare) - spare), spare) + np.arange(spare.sum())
+    dep[idle] = 0
+    dep[last] -= cut
+    dep[last[0]] = csum[last[0]] - cut[0]
+    end = csum
+    np.cumsum(dep[last[0]:], out=end[last[0]:])
+    del dep
+    vals = np.take(comp.bits, sel, axis=1)
+    vals[:, idle] = 0
+    vals[:, lo[resumed]] &= (_ONE << carry[resumed]) - _ONE
+    vals[:, last] >>= cut
 
     # Shift each fragment so its last bit lands at its place in the word
     # that holds it, and OR each run of fragments ending in one word into
@@ -403,28 +405,28 @@ def _draw_sizes(comp: _Compiled, bits):
 
 
 def _cover(
-    comp: _Compiled, needs: np.ndarray, streams: list[Stream], carry: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    comp: _Compiled, needs: np.ndarray, streams: Streams, carry: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Fragments whose depths cover needs[i] bits from each of the streams.
 
-    Returns the selected entries of all streams back to back, the running
-    sum of their depths, and for each stream the index of its first entry
-    and the depth sum before it.  A stream's first entry counts only its
-    carry bits when it has a carry.  A stream is drawn in the sizes of its
-    own estimate and top-ups; the words do not depend on those sizes.
+    Returns the selected entries of all streams back to back, their depths
+    and the running sum of those, and for each stream the index of its
+    first entry and the depth sum before it.  A stream's first entry counts
+    only its carry bits when it has a carry.  A stream is drawn in the
+    sizes of its own estimate and top-ups; the words do not depend on
+    those sizes.
     """
     sizes = _draw_sizes(comp, needs)
-    draws = [stream.words(n) for stream, n in zip(streams, sizes.tolist())]
-    sel = _select(comp, draws[0] if len(draws) == 1 else np.concatenate(draws))
-    csum, lo, base = _depth_sums(comp, sel, sizes, carry)
+    sel = _select(comp, streams.words(sizes))
+    dep, csum, lo, base = _depth_sums(comp, sel, sizes, carry)
     got = csum[lo + sizes - 1] - base
     if (got >= needs).all():
-        return sel, csum, lo, base
+        return sel, dep, csum, lo, base
     runs = np.split(sel, lo[1:])
     for i in np.flatnonzero(got < needs).tolist():
         short = int(needs[i] - got[i])
         while short > 0:
-            more = _select(comp, streams[i].words(int(_draw_sizes(comp, short))))
+            more = _select(comp, streams[i : i + 1].words(_draw_sizes(comp, np.array([short]))))
             runs[i] = np.concatenate([runs[i], more])
             short -= int(np.take(comp.depths, more).sum())
     sel = np.concatenate(runs)
@@ -433,10 +435,10 @@ def _cover(
 
 def _depth_sums(
     comp: _Compiled, sel: np.ndarray, sizes: np.ndarray, carry: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Running depth sum of runs of `sizes` entries whose first entries are
-    `carry` bits deep where that is set; each run's first index and the sum
-    before it."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Depths of runs of `sizes` entries whose first entries are `carry` bits
+    deep where that is set, their running sum, each run's first index and
+    the sum before it."""
     lo = np.cumsum(sizes) - sizes
     dep = np.take(comp.depths, sel)
     resumed = np.flatnonzero(carry)
@@ -444,7 +446,7 @@ def _depth_sums(
     csum = np.cumsum(dep)
     base = np.zeros(len(sizes), dtype=np.uint64)
     base[1:] = csum[lo[1:] - 1]
-    return csum, lo, base
+    return dep, csum, lo, base
 
 
 def _check_k(k: int) -> None:
@@ -465,8 +467,8 @@ def emit_block(
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     seed, block_index = stream_key
-    stream = Stream(int(seed), DOMAIN_BLOCK, int(block_index))
-    edges, _ = _emit(_compile(table), int(k), [(int(count), stream)])
+    stream = Streams(int(seed), DOMAIN_BLOCK, int(block_index) & MASK64)
+    edges, _ = _emit(_compile(table), int(k), np.array([int(count)]), stream)
     return edges
 
 
@@ -523,6 +525,8 @@ def _stream_units(count: int, units: Iterable, threads: int) -> Iterator[tuple[n
     if workers == 1:
         yield from map(run, units)
         return
+    from concurrent.futures import ThreadPoolExecutor  # only a run that starts a pool loads it
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # Not pool.map, which submits every unit at once and keeps every result.
         pending: deque = deque()
@@ -553,7 +557,8 @@ def generate_stream(config: GenConfig) -> Iterator[tuple[np.ndarray, int]]:
     _check_k(k)
     comp = _compile(config.table)
     units = (
-        partial(_emit, comp, k, [(min(B, m - lo), Stream(config.seed, DOMAIN_BLOCK, lo // B))])
+        partial(_emit, comp, k, np.array([min(B, m - lo)]),
+                Streams(config.seed, DOMAIN_BLOCK, lo // B))
         for lo in range(0, m, B)
     )
     return _stream_units(-(-m // B), units, config.threads)

@@ -10,7 +10,7 @@ call of the table's kernel joins the streams of many small tiles, at
 least a block of edges, so its per-call cost is not paid per tile.
 A tile is cut from its start into pieces of a block; piece p draws from
 the tile's key with p in the Philox counter's second word (see
-`_rng.Stream`), so no piece waits for another, and the pieces of a big
+`_rng.Streams`), so no piece waits for another, and the pieces of a big
 tile run side by side on threads.  Piece 0 draws the uncut tile's
 stream: a tile of at most a block, and the first block of a bigger one,
 have the bytes of one unsplit call.  A batch of whole pieces is one unit
@@ -19,10 +19,12 @@ of the generator's in-order unit stream, on any number of threads:
 and `generate_part` gathers them into one array.  Tiles given to either
 are checked first.
 
-Neither a split node nor a tile builds a numpy Generator.  A split node
-re-keys the thread's shared Generator (`_rng.rekeyed`) and makes its
-three binomial draws; a tile is a `_rng.Stream` handle, which the
-kernel re-keys on each draw.
+Neither a split node nor a tile builds a numpy Generator or any other
+object of its own.  Each level of the walk is one loop over its nodes
+that re-keys the thread's shared Generator (`_rng.rekeyed_each`) and
+makes three binomial draws per node, into one flat list of counts.  A
+batch of tiles is one `_rng.Streams`, its rows taken straight from the
+tile array, and the kernel re-keys once per row and draw.
 
 Parts own contiguous ranges of tile rows and prune recursion subtrees
 whose rows they do not own, so planning work scales with owned rows, not
@@ -39,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._rng import DOMAIN_NODE, DOMAIN_TILE, Stream, rekeyed
+from ._rng import DOMAIN_NODE, DOMAIN_TILE, Streams, rekeyed_each
 from .generator import DEFAULT_BLOCK_SIZE, _collect, _compile, _emit, _stream_units
 from .params import RmatParams
 from .table import FragmentTable, _check_model
@@ -138,14 +140,26 @@ def split_quadrant_counts(
     if count == 0:
         return (0, 0, 0, 0)
     seed, path = node_key
-    gen = rekeyed(seed, DOMAIN_NODE, path)
+    return tuple(_splits(params, seed, [count], [path]))
+
+
+def _splits(params: RmatParams, seed: int, counts: list[int], paths: list[int]) -> list[int]:
+    """split_quadrant_counts of each (count, path) node, its four counts in turn in one list.
+
+    One loop re-keys the thread's Generator for each node and makes its
+    three draws.
+    """
     a, b, c, d = params.quadrants
-    n_a = int(gen.binomial(count, a))
-    rest = count - n_a
-    n_b = int(gen.binomial(rest, b / (b + c + d)))
-    rest -= n_b
-    n_c = int(gen.binomial(rest, c / (c + d)))
-    return (n_a, n_b, n_c, rest - n_c)
+    pb, pc = b / (b + c + d), c / (c + d)
+    flat: list[int] = []
+    for count, gen in zip(counts, rekeyed_each(seed, DOMAIN_NODE, paths)):
+        n_a = int(gen.binomial(count, a))
+        rest = count - n_a
+        n_b = int(gen.binomial(rest, pb))
+        rest -= n_b
+        n_c = int(gen.binomial(rest, pc))
+        flat += (n_a, n_b, n_c, rest - n_c)
+    return flat
 
 
 def plan_tiles(plan: PartitionPlan, params: RmatParams, part: int = 0) -> list[TileCount]:
@@ -189,9 +203,8 @@ def _plan_cells(plan: PartitionPlan, params: RmatParams, part: int) -> np.recarr
         half = 1 << (plan.t - level - 1)
         live = np.flatnonzero(count)
         splits = np.zeros((len(count), 4), dtype=np.int64)
-        splits[live] = np.reshape([split_quadrant_counts(n, params, (plan.seed, path))
-                                   for n, path in zip(count[live].tolist(), code[live].tolist())],
-                                  (-1, 4))
+        splits[live] = np.reshape(_splits(params, plan.seed, count[live].tolist(),
+                                          code[live].tolist()), (-1, 4))
         rows = row[:, None] + (digit >> 1) * half
         owned = (rows + half > lo) & (rows < hi)
         code = ((code[:, None] << 2) | digit)[owned]
@@ -243,15 +256,14 @@ def _batch(comp, tiles: np.recarray, k: int, t: int, seed: int,
     The first entry is piece `piece` of its tile and every later one its
     tile's piece 0.
     """
-    keys = ((tiles.tile_row << t) | tiles.tile_col).tolist()
-    streams = [Stream(seed, DOMAIN_TILE, key) for key in keys]
-    streams[0].piece = piece
+    streams = Streams(seed, DOMAIN_TILE, (tiles.tile_row << t) | tiles.tile_col)
+    streams.piece[0] = piece
     inner = k - t
     prefix = np.column_stack([tiles.tile_row, tiles.tile_col]).astype(np.uint64)
     prefix <<= np.uint64(inner)
     if not inner:
         return np.repeat(prefix, tiles.count, axis=0), 0
-    edges, used = _emit(comp, inner, list(zip(tiles.count.tolist(), streams)))
+    edges, used = _emit(comp, inner, tiles.count, streams)
     # Repeated after the kernel, into pages its chunks have just freed:
     # repeated before it, tiled-part took 30k page faults, not 14k.
     edges |= np.repeat(prefix, tiles.count, axis=0)

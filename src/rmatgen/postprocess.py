@@ -212,27 +212,35 @@ def dedup_stream(
     units yields (edges, samples), (n, 2) uint64 edges adding up to total
     rows, or ValueError, with u < 2^ubits and v < 2^vbits.  An undirected
     stream is mapped through to_undirected first.  Each unit goes as it
-    arrives into its slice of one array allocated first: the keys
-    (u << vbits) | v for _first_keys while they fit a uint64, else the
-    rows for _first_rows.  The kept edges come out in blocks of at most
-    DEFAULT_BLOCK_SIZE, and the first block, yielded even when empty,
-    carries every sample the input used.
+    arrives into its slice of one array allocated at the first unit: the
+    keys (u << vbits) | v for _first_keys while they fit a uint64, else
+    the rows for _first_rows, which takes a stream of one unit as it is.
+    The kept edges come out in blocks of at most DEFAULT_BLOCK_SIZE, and
+    the first block, yielded even when empty, carries every sample the
+    input used.
     """
     packed = ubits + vbits <= 64
-    held = np.empty(total if packed else (total, 2), dtype=np.uint64)
+    shape = total if packed else (total, 2)
+    held = None
     lo = samples = 0
     for edges, used in units:
         hi = lo + len(edges)
+        if held is None:
+            # Rows too wide to pack that come as one unit of all of them are
+            # held as they are, so the lexsort's work is all that is added.
+            held = edges if not packed and hi == total else np.empty(shape, dtype=np.uint64)
         if packed:
             np.left_shift(edges[:, 0], np.uint64(vbits), out=held[lo:hi])
             held[lo:hi] |= edges[:, 1]
-        else:
+        elif held is not edges:
             held[lo:hi] = edges
         lo = hi
         samples += used
         del edges  # not held while the next unit is made, nor through the sort
     if lo != total:  # the rest of held was never written
         raise ValueError(f"units held {lo} edges, not the {total} declared")
+    if held is None:  # a stream of no units
+        held = np.empty(shape, dtype=np.uint64)
     held = _first_keys(held, ubits + vbits) if packed else _first_rows(held)
     shift, low = np.uint64(vbits), np.uint64((1 << vbits) - 1)
     for lo in range(0, max(len(held), 1), DEFAULT_BLOCK_SIZE):

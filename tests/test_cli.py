@@ -1,7 +1,12 @@
+import concurrent.futures
 import hashlib
 import io
 import os
 import re
+import stat
+import subprocess
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -27,8 +32,14 @@ from rmatgen import (
 import rmatgen.cli as cli_mod
 import rmatgen.generator as generator
 import rmatgen.partition as partition_mod
+import rmatgen.postprocess as postprocess_mod
+import rmatgen
 from rmatgen.cli import _write_file, main
 from conftest import SKEWED, spy_dedup_sorts
+
+#: Commands each -o test runs, with a small output.
+SMALL_OUTPUTS = [["generate", "-k", "8", "-m", "10"],
+                 ["table-dump", "-k", "4", "--table", "fixed", "--depth", "2"]]
 
 SUMMARY_RE = re.compile(
     r"edges=(\d+) seconds=\d+\.\d{3} edges_per_sec=\d+ "
@@ -216,12 +227,12 @@ def test_generate_tiled_thread_count_does_not_change_output(tmp_path, capsys, mo
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     pools = []
 
-    class Recorder(generator.ThreadPoolExecutor):
+    class Recorder(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(generator, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
     runs = []
     for threads in ("1", "2"):
         path = tmp_path / f"t{threads}.bin"
@@ -357,9 +368,12 @@ def test_dedup_beyond_memory_exits_2_before_generating(tmp_path, capsys, monkeyp
     def unreachable(*args, **kwargs):
         raise AssertionError("generated edges")
 
-    for name in ("generate_stream", "generate_part_stream", "dedup_stream"):
-        monkeypatch.setattr(cli_mod, name, unreachable)
-    monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 1000 * cli_mod.DEDUP_BYTES_PER_EDGE - 1)
+    # Each name is patched where it lives: cli imports the tiled and dedup ones when it runs.
+    for mod, name in ((cli_mod, "generate_stream"), (partition_mod, "generate_part_stream"),
+                      (postprocess_mod, "dedup_stream")):
+        monkeypatch.setattr(mod, name, unreachable)
+    monkeypatch.setattr(cli_mod, "_physical_memory",
+                        lambda: 1000 * postprocess_mod.DEDUP_BYTES_PER_EDGE - 1)
     rc = main(["generate", "-k", "8", "-m", "1000", "--dedup", *tiles, "-o", str(tmp_path / "x.bin")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: --dedup holds")
@@ -368,7 +382,8 @@ def test_dedup_beyond_memory_exits_2_before_generating(tmp_path, capsys, monkeyp
 
 
 def test_dedup_within_memory_runs(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 1000 * cli_mod.DEDUP_BYTES_PER_EDGE)
+    monkeypatch.setattr(cli_mod, "_physical_memory",
+                        lambda: 1000 * postprocess_mod.DEDUP_BYTES_PER_EDGE)
     rc = main(["generate", "-k", "8", "-m", "1000", "--dedup", "-o", str(tmp_path / "x.bin")])
     assert rc == 0
     assert 0 < len(read_binary(tmp_path / "x.bin")) <= 1000
@@ -383,11 +398,11 @@ def test_dedup_bound_counts_the_part_edges(tmp_path, capsys, monkeypatch, spare,
     held = sum(tc.count for tc in plan_tiles(plan, validate(*GRAPH500, k=8), 1))
     assert 0 < held < 500
     monkeypatch.setattr(cli_mod, "_physical_memory",
-                        lambda: held * cli_mod.DEDUP_BYTES_PER_EDGE + spare)
+                        lambda: held * postprocess_mod.DEDUP_BYTES_PER_EDGE + spare)
     planned = []
-    for mod in (cli_mod, partition_mod):
-        monkeypatch.setattr(mod, "_plan_cells",
-                            lambda *a, _plan=mod._plan_cells: planned.append(a) or _plan(*a))
+    plan_cells = partition_mod._plan_cells
+    monkeypatch.setattr(partition_mod, "_plan_cells",
+                        lambda *a: planned.append(a) or plan_cells(*a))
     path = tmp_path / "x.bin"
     assert main(["generate", *argv, "--dedup", "-o", str(path)]) == rc
     assert len(planned) == 1
@@ -448,6 +463,98 @@ def test_generate_into_missing_directory_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("cmd", SMALL_OUTPUTS, ids=["generate", "table-dump"])
+def test_output_through_a_symlink_writes_its_target(tmp_path, cmd):
+    # The temp file is renamed over the link's target, so the link stays.
+    target = tmp_path / "T"
+    target.write_bytes(b"old bytes")
+    link = tmp_path / "L"
+    link.symlink_to(target)
+    assert main([*cmd, "-o", str(link)]) == 0
+    assert main([*cmd, "-o", str(tmp_path / "want")]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == (tmp_path / "want").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["L", "T", "want"]
+
+
+@pytest.mark.parametrize("cmd", SMALL_OUTPUTS, ids=["generate", "table-dump"])
+def test_output_to_a_fifo_is_written_in_place(tmp_path, cmd):
+    # A FIFO is opened and written, not replaced by a renamed file.  The
+    # read end is open before the run, so the run never waits for a reader.
+    assert main([*cmd, "-o", str(tmp_path / "want")]) == 0
+    fifo = tmp_path / "F"
+    os.mkfifo(fifo)
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    os.set_blocking(fd, True)
+    got = []
+
+    def read():
+        with os.fdopen(fd, "rb") as f:
+            got.append(f.read())
+
+    assert main([*cmd, "-o", str(fifo)]) == 0
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    reader.join(30)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert got == [(tmp_path / "want").read_bytes()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "want"]
+
+
+def _python(code, *args):
+    """`python -c code args` with this package importable; its completed process."""
+    src = os.path.dirname(os.path.dirname(rmatgen.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_cli_import_loads_only_what_every_run_uses():
+    # Tiling, postprocessing, verify's statistics and the thread pool load
+    # when a run uses them; every public name resolves on first use.
+    run = _python(
+        "import sys, rmatgen.cli\n"
+        "lazy = ('rmatgen.stats', 'rmatgen.partition', 'rmatgen.postprocess',\n"
+        "        'concurrent.futures')\n"
+        "print([m for m in lazy if m in sys.modules])\n"
+        "import rmatgen\n"
+        "names = {}\n"
+        "exec('from rmatgen import *', names)\n"
+        "print([n for n in rmatgen.__all__\n"
+        "       if n not in names or names[n] is not getattr(rmatgen, n)])\n"
+        "print(hasattr(rmatgen, 'no_such_name'))\n"
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[]", "[]", "False"]
+
+
+@pytest.mark.parametrize("argv,code,stream,text", [
+    (["generate", "-k", "8", "-m", "100", "--format", "none"], 0, "stdout", "edges=100 "),
+    (["verify", "-k", "4", "-m", "200000", "--seed", "9", "--size", "1021", "--noise", "0.5"],
+     1, "stdout", "verdict=fail"),
+    (["generate", "-k", "8", "-m", "100", "--format", "text"], 2, "stderr",
+     "error: --format text requires -o PATH"),
+    (["generate", "-k", "8"], 2, "stderr", "required: -m"),
+], ids=["generate", "failing-verify", "bad-config", "usage"])
+def test_main_without_argv_flushes_and_keeps_exit_codes(argv, code, stream, text):
+    # The script entry reads sys.argv and ends the process itself; what it
+    # printed still reaches the pipe.
+    run = _python("from rmatgen.cli import main; main(); print('not reached')", *argv)
+    assert run.returncode == code
+    assert text in getattr(run, stream)
+    assert "not reached" not in run.stdout
+
+
+def test_main_with_argv_returns():
+    run = _python("from rmatgen.cli import main\n"
+                  "print('returned', main(['generate', '-k', '8', '-m', '10', '--format', 'none']),"
+                  " main(['generate', '-k', '8', '-m', '10', '--format', 'text']))")
+    assert run.returncode == 0
+    assert run.stdout.splitlines()[-1] == "returned 0 2"
+
+
 @pytest.mark.parametrize("tiles", [[], ["--tiles", "2"]], ids=["untiled", "tiled"])
 def test_generate_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, tiles):
     # --dedup gathers every edge; the kernel runs out of memory while it does.
@@ -465,10 +572,10 @@ def test_generate_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, tiles):
 def test_generate_streamed_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
     emit = generator._emit
 
-    def failing(comp, k, segments):
-        if segments[0][1].key[1] == 0:
+    def failing(comp, k, counts, streams):
+        if streams.payload[0] == 0:
             raise MemoryError
-        return emit(comp, k, segments)
+        return emit(comp, k, counts, streams)
 
     monkeypatch.setattr(generator, "_emit", failing)
     rc = main(["generate", "-k", "4", "-m", "10", "-o", str(tmp_path / "x.bin")])
@@ -484,10 +591,10 @@ def test_generate_out_of_memory_in_a_thread_exits_2(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     emit = generator._emit
 
-    def failing(comp, k, segments):
-        if segments[0][1].key[1] == 3:
+    def failing(comp, k, counts, streams):
+        if streams.payload[0] == 3:
             raise MemoryError
-        return emit(comp, k, segments)
+        return emit(comp, k, counts, streams)
 
     monkeypatch.setattr(generator, "_emit", failing)
     rc = main(["generate", "-k", "8", "-m", str(4 * DEFAULT_BLOCK_SIZE + 1),

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import os
@@ -28,11 +29,18 @@ from rmatgen import (
 )
 import rmatgen.generator as generator
 import rmatgen.partition as partition_mod
-from rmatgen._rng import DOMAIN_BLOCK, Stream, _key, keyed_stream
+from rmatgen._rng import DOMAIN_BLOCK, Streams, _key, keyed_stream
 from rmatgen.generator import _compile, _emit
 from conftest import SKEWED, UNIFORM, alias_sample, params_for, fixed_table, variable_table
 
 G500 = (0.57, 0.19, 0.19, 0.05)
+
+
+def block(count, seed, index, piece=0):
+    """_emit's arguments for one block: its count and its one-row stream array."""
+    streams = Streams(seed, DOMAIN_BLOCK, index)
+    streams.piece[0] = piece
+    return np.array([count]), streams
 
 
 @dataclasses.dataclass
@@ -58,7 +66,7 @@ def _emit_reference(table, k, count, stream_key, piece=0):
     edges; it exists so the vectorized kernels have something honest to
     be compared against.  It draws from numpy's own Philox, keyed as the
     block (seed, block_index) and started at piece `piece`, so the
-    comparison also checks the kernels' re-keyed Stream handles.
+    comparison also checks the kernels' re-keyed stream arrays.
     """
     seed, block_index = stream_key
     key = np.array(_key(int(seed), DOMAIN_BLOCK, int(block_index)), dtype=np.uint64)
@@ -120,9 +128,9 @@ def test_general_kernel_agrees_with_fixed_kernel():
         table = fixed_table(G500, 4, depth)
         comp = _compile(table)
         assert comp.fixed_depth == depth
-        ef, nf = _emit(comp, k, [(3000, Stream(1, DOMAIN_BLOCK, 0))])
+        ef, nf = _emit(comp, k, *block(3000, 1, 0))
         forced = dataclasses.replace(comp, fixed_depth=None)
-        eg, ng = _emit(forced, k, [(3000, Stream(1, DOMAIN_BLOCK, 0))])
+        eg, ng = _emit(forced, k, *block(3000, 1, 0))
         assert nf == ng
         assert (ef == eg).all()
 
@@ -174,11 +182,10 @@ def test_top_up_draws_match_reference(k, tag):
     counts = [1, 17, 1000]
     refs = [_emit_reference(table, k, c, (9, i)) for i, c in enumerate(counts)]
     for i, c in enumerate(counts):
-        got, used = _emit(starved, k, [(c, Stream(9, DOMAIN_BLOCK, i))])
+        got, used = _emit(starved, k, *block(c, 9, i))
         assert used == refs[i][1]
         assert (got == refs[i][0]).all()
-    segments = [(c, Stream(9, DOMAIN_BLOCK, i)) for i, c in enumerate(counts)]
-    got, used = _emit(starved, k, segments)
+    got, used = _emit(starved, k, np.array(counts), Streams(9, DOMAIN_BLOCK, range(3)))
     assert used == sum(r[1] for r in refs)
     assert (got == np.concatenate([r[0] for r in refs])).all()
 
@@ -266,10 +273,16 @@ def test_long_fragment_completes_multiple_edges():
     assert len(res.edges) == 1000
 
 
+def test_emit_block_index_names_its_stream_modulo_2_64():
+    # The block index is the key's payload word, so -1 and 2^64 - 1 name one stream.
+    table = variable_table(G500, 10, 253)
+    assert (emit_block(table, 10, 50, (3, -1)) == emit_block(table, 10, 50, (3, 2**64 - 1))).all()
+
+
 def test_emit_block_single_edge_single_sample():
     table = fixed_table(G500, 4, 4)
     comp = _compile(table)
-    edges, nf = _emit(comp, 4, [(1, Stream(7, DOMAIN_BLOCK, 0))])
+    edges, nf = _emit(comp, 4, *block(1, 7, 0))
     assert nf == 1 and edges.shape == (1, 2)
 
 
@@ -384,12 +397,12 @@ def test_thread_count_invariance(threads, monkeypatch):
 def test_thread_pool_bounded_by_cores_and_blocks(monkeypatch):
     sizes = []
 
-    class Recorder(generator.ThreadPoolExecutor):
+    class Recorder(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(generator, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
     params = params_for(G500, 10)
     base = GenConfig(params=params, table=variable_table(G500, 10, 253),
                      edge_count=5000, seed=3, block_size=500, threads=64)
@@ -409,10 +422,10 @@ def test_block_error_propagates_from_threads(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     emit = generator._emit
 
-    def failing(comp, k, segments):
-        if segments[0][1].key[1] == 3:
+    def failing(comp, k, counts, streams):
+        if streams.payload[0] == 3:
             raise MemoryError("block 3")
-        return emit(comp, k, segments)
+        return emit(comp, k, counts, streams)
 
     monkeypatch.setattr(generator, "_emit", failing)
     params = params_for(G500, 10)
@@ -439,12 +452,12 @@ def test_stream_keeps_at_most_two_units_per_worker_in_flight(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     submitted = []
 
-    class Recorder(generator.ThreadPoolExecutor):
+    class Recorder(concurrent.futures.ThreadPoolExecutor):
         def submit(self, *args, **kwargs):
             submitted.append(None)
             return super().submit(*args, **kwargs)
 
-    monkeypatch.setattr(generator, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
     params = params_for(G500, 10)
     base = GenConfig(params=params, table=variable_table(G500, 10, 253),
                      edge_count=12 * 500 - 7, seed=3, block_size=500, threads=2)
@@ -492,7 +505,7 @@ def test_fixed_tables_consume_k_over_depth_samples():
 
 def test_output_allocated_before_blocks_are_listed(monkeypatch):
     # 2^36 edges are 2^20 blocks.  An output too large to hold must fail
-    # before their units are listed, not after a million Stream handles.
+    # before their units are listed, not after a million stream arrays.
     empty = np.empty
 
     def refuse_huge(shape, *args, **kwargs):
@@ -505,10 +518,10 @@ def test_output_allocated_before_blocks_are_listed(monkeypatch):
     def counted(*key):
         built.append(key)
         assert len(built) <= 8, "block units listed before the output was allocated"
-        return Stream(*key)
+        return Streams(*key)
 
     monkeypatch.setattr(np, "empty", refuse_huge)
-    monkeypatch.setattr(generator, "Stream", counted)
+    monkeypatch.setattr(generator, "Streams", counted)
     config = GenConfig(params=params_for(G500, 20), table=variable_table(G500, 20, 253),
                        edge_count=1 << 36, seed=1)
     with pytest.raises(MemoryError, match="output"):
@@ -577,16 +590,18 @@ def test_chunked_kernels_match_unchunked_and_reference(k, tag, chunk, monkeypatc
             for i, c in enumerate(counts)]
 
     def segments():
-        return [(c, Stream(9, DOMAIN_BLOCK, i, int(i == 0))) for i, c in enumerate(counts)]
+        streams = Streams(9, DOMAIN_BLOCK, range(len(counts)))
+        streams.piece[0] = 1
+        return np.array(counts), streams
 
-    whole = _emit(general, k, segments())
+    whole = _emit(general, k, *segments())
     monkeypatch.setattr(generator, "_CHUNK_EDGES", chunk)
-    for i, (c, stream) in enumerate(segments()):
-        got, used = _emit(comp, k, [(c, stream)])
+    for i, c in enumerate(counts):
+        got, used = _emit(comp, k, *block(c, 9, i, int(i == 0)))
         assert used == refs[i][1]
         assert (got == refs[i][0]).all()
     for kernel in (general, comp):
-        got, used = _emit(kernel, k, segments())
+        got, used = _emit(kernel, k, *segments())
         assert used == whole[1] == sum(r[1] for r in refs)
         assert (got == whole[0]).all()
         assert (got == np.concatenate([r[0] for r in refs])).all()
@@ -601,11 +616,11 @@ def test_carry_left_on_the_stream():
     ref, ref_used = _emit_reference(table, 7, 5, (9, 0))
     fixed = _compile(table)
     for comp in (fixed, dataclasses.replace(fixed, fixed_depth=None)):
-        stream = Stream(9, DOMAIN_BLOCK, 0)
-        first, used = _emit(comp, 7, [(3, stream)])
-        assert (used, stream.pos, stream.carry) == (5, 4, 4)
-        second, more = _emit(comp, 7, [(2, stream)])
-        assert (more, stream.pos, stream.carry) == (2, 7, 0)
+        stream = Streams(9, DOMAIN_BLOCK, 0)
+        first, used = _emit(comp, 7, np.array([3]), stream)
+        assert (used, *stream.pos, *stream.carry) == (5, 4, 4)
+        second, more = _emit(comp, 7, np.array([2]), stream)
+        assert (more, *stream.pos, *stream.carry) == (2, 7, 0)
         assert used + more == ref_used == 7
         assert (np.concatenate([first, second]) == ref).all()
 
@@ -619,11 +634,11 @@ def test_chunk_boundary_on_a_fragment_boundary(monkeypatch):
     monkeypatch.setattr(generator, "_CHUNK_EDGES", 5)
     fixed = _compile(table)
     for comp in (fixed, dataclasses.replace(fixed, fixed_depth=None)):
-        stream = Stream(9, DOMAIN_BLOCK, 1)
-        got, used = _emit(comp, 7, [(20, stream)])
-        assert (stream.pos, stream.carry) == (28, 0)
-        rest, more = _emit(comp, 7, [(3, stream)])
-        assert (stream.pos, stream.carry) == (32, 4)
+        stream = Streams(9, DOMAIN_BLOCK, 1)
+        got, used = _emit(comp, 7, np.array([20]), stream)
+        assert (*stream.pos, *stream.carry) == (28, 0)
+        rest, more = _emit(comp, 7, np.array([3]), stream)
+        assert (*stream.pos, *stream.carry) == (32, 4)
         assert used + more == ref_used
         assert (np.concatenate([got, rest]) == ref).all()
 
@@ -636,16 +651,16 @@ def test_top_up_draws_in_later_chunks(tag, monkeypatch):
     starved = dataclasses.replace(_compile(table), mean_depth=4 * table.mean_depth,
                                   fixed_depth=None)
     draws = []
-    words = Stream.words
+    words = Streams.words
 
-    def counted(self, n):
-        draws.append(n)
-        return words(self, n)
+    def counted(self, sizes):
+        draws.extend(sizes.tolist())
+        return words(self, sizes)
 
-    monkeypatch.setattr(Stream, "words", counted)
+    monkeypatch.setattr(Streams, "words", counted)
     monkeypatch.setattr(generator, "_CHUNK_EDGES", 97)
     ref, ref_used = _emit_reference(table, 13, 1000, (9, 2))
-    got, used = _emit(starved, 13, [(1000, Stream(9, DOMAIN_BLOCK, 2))])
+    got, used = _emit(starved, 13, *block(1000, 9, 2))
     assert used == ref_used
     assert (got == ref).all()
     assert len(draws) > 2 * -(-1000 // 97)
@@ -657,18 +672,18 @@ def test_draws_sized_to_the_depth_spread(monkeypatch):
     # small tiles (1.256 with a 5% + 16 words margin) and on a block
     # (1.051), and a draw falls short, to be topped up, only rarely.
     drawn, calls, pieces = [0], [0], [0]
-    words, emit_words = Stream.words, generator._emit_words
+    words, emit_words = Streams.words, generator._emit_words
 
-    def counted(self, n):
-        drawn[0] += n
-        calls[0] += 1
-        return words(self, n)
+    def counted(self, sizes):
+        drawn[0] += int(sizes.sum())
+        calls[0] += len(sizes)  # one draw per stream
+        return words(self, sizes)
 
     def counted_pieces(comp, k, counts, streams, out):
-        pieces[0] += len(streams)
+        pieces[0] += len(streams.pos)
         return emit_words(comp, k, counts, streams, out)
 
-    monkeypatch.setattr(Stream, "words", counted)
+    monkeypatch.setattr(Streams, "words", counted)
     monkeypatch.setattr(generator, "_emit_words", counted_pieces)
     table = variable_table(G500, 20, 8191)
     plan = default_plan(k=20, t=8, m=2**20, seed=7, parts=4)
@@ -676,7 +691,7 @@ def test_draws_sized_to_the_depth_spread(monkeypatch):
     assert drawn[0] < 1.10 * used
     assert pieces[0] > 12_000 and calls[0] - pieces[0] <= pieces[0] // 1000
     drawn[0] = calls[0] = pieces[0] = 0
-    _, used = _emit(_compile(table), 20, [(DEFAULT_BLOCK_SIZE, Stream(3, DOMAIN_BLOCK, 0))])
+    _, used = _emit(_compile(table), 20, *block(DEFAULT_BLOCK_SIZE, 3, 0))
     assert drawn[0] < 1.01 * used
     assert calls[0] == pieces[0] == 4
 
@@ -691,7 +706,7 @@ def test_kernel_scratch_scales_with_the_chunk():
         count = n * generator.DEFAULT_BLOCK_SIZE
         tracemalloc.start()
         try:
-            _emit(comp, 20, [(count, Stream(3, DOMAIN_BLOCK, 0))])
+            _emit(comp, 20, *block(count, 3, 0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

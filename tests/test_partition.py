@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import itertools
 import math
@@ -135,15 +136,15 @@ def test_plan_includes_zero_count_tiles():
 
 @pytest.mark.parametrize("t,parts", [(2, 1), (3, 1), (3, 8), (4, 16), (4, 1)])
 def test_plan_work_scales_with_owned_rows(t, parts, monkeypatch):
-    # pruning keeps split calls within 4 * owned_rows * t at these scales
+    # pruning keeps the nodes split within 4 * owned_rows * t at these scales
     calls = [0]
-    original = partition_mod.split_quadrant_counts
+    original = partition_mod._splits
 
-    def counting(count, params, node_key):
-        calls[0] += 1
-        return original(count, params, node_key)
+    def counting(params, seed, counts, paths):
+        calls[0] += len(counts)
+        return original(params, seed, counts, paths)
 
-    monkeypatch.setattr(partition_mod, "split_quadrant_counts", counting)
+    monkeypatch.setattr(partition_mod, "_splits", counting)
     plan = default_plan(k=8, t=t, m=10**4, seed=4, parts=parts)
     params = params_for(G500, 8)
     for part in range(parts):
@@ -168,7 +169,8 @@ def _plan_oracle(plan, params, part):
             if r0 + half > lo and r0 < hi:
                 rec(level + 1, r0, col0 + (digit & 1) * half, (code << 2) | digit, n)
 
-    rec(0, 0, 0, 1, plan.m)
+    if lo < hi:  # a part that owns no rows plans nothing, at t = 0 too
+        rec(0, 0, 0, 1, plan.m)
     return out
 
 
@@ -180,6 +182,19 @@ def test_plan_matches_recursive_walk(k, t, m, parts):
     params = params_for(G500, k)
     for part in range(parts):
         assert plan_tiles(plan, params, part) == _plan_oracle(plan, params, part)
+
+
+def test_plan_levels_equal_one_split_per_node():
+    # _plan_cells splits each level in one loop; split_quadrant_counts, the
+    # public split of one node, gives the same counts node by node, for
+    # every part of every grid up to t = 4, parts that own no rows included.
+    k = 10
+    params = params_for(SKEWED, k)
+    for t in range(5):
+        for parts in range(1, (1 << t) + 3):
+            plan = default_plan(k=k, t=t, m=50_000, seed=t + 7 * parts, parts=parts)
+            for part in range(parts):
+                assert plan_tiles(plan, params, part) == _plan_oracle(plan, params, part)
 
 
 def test_default_plan_balances_rows():
@@ -629,9 +644,9 @@ def test_generate_part_batches_close_at_one_block(monkeypatch):
     calls = []
     original = partition_mod._emit
 
-    def counting(comp, k, segments):
-        calls.append([count for count, _ in segments])
-        return original(comp, k, segments)
+    def counting(comp, k, counts, streams):
+        calls.append(counts.tolist())
+        return original(comp, k, counts, streams)
 
     monkeypatch.setattr(partition_mod, "_emit", counting)
     k = 14
@@ -676,12 +691,12 @@ def test_generate_part_thread_count_invariance(threads, monkeypatch):
 def test_generate_part_pool_bounded_by_units(monkeypatch):
     sizes = []
 
-    class Recorder(generator_mod.ThreadPoolExecutor):
+    class Recorder(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(generator_mod, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     plan, params, table = part_inputs("variable")
     tiles = plan_tiles(plan, params)
@@ -704,10 +719,10 @@ def test_generate_part_error_propagates_from_threads(monkeypatch):
     calls = itertools.count()
     emit = partition_mod._emit
 
-    def failing(comp, k, segments):
+    def failing(comp, k, counts, streams):
         if next(calls) == 2:
             raise MemoryError("batch 2")
-        return emit(comp, k, segments)
+        return emit(comp, k, counts, streams)
 
     monkeypatch.setattr(partition_mod, "_emit", failing)
     raised = []
@@ -755,13 +770,14 @@ def test_split_tile_equals_one_unsplit_call(kind, count, monkeypatch):
     prefix = np.array([2, 1], dtype=np.uint64) << np.uint64(k - t)
     key = (2 << t) | 1
     for p, (edges, used) in enumerate(pieces):
-        stream = generator_mod.Stream(seed, partition_mod.DOMAIN_TILE, key, p)
+        stream = partition_mod.Streams(seed, partition_mod.DOMAIN_TILE, key)
+        stream.piece[0] = p
         size = min(DEFAULT_BLOCK_SIZE, count - p * DEFAULT_BLOCK_SIZE)
-        bits, want = partition_mod._emit(comp, k - t, [(size, stream)])
+        bits, want = partition_mod._emit(comp, k - t, np.array([size]), stream)
         assert used == want
         assert np.array_equal(edges, bits | prefix)
-    stream = generator_mod.Stream(seed, partition_mod.DOMAIN_TILE, key)
-    uncut, _ = partition_mod._emit(comp, k - t, [(count, stream)])
+    stream = partition_mod.Streams(seed, partition_mod.DOMAIN_TILE, key)
+    uncut, _ = partition_mod._emit(comp, k - t, np.array([count]), stream)
     uncut |= prefix
     assert np.array_equal(pieces[0][0], uncut[:DEFAULT_BLOCK_SIZE])
     assert not np.array_equal(pieces[1][0], uncut[DEFAULT_BLOCK_SIZE : 2 * DEFAULT_BLOCK_SIZE])

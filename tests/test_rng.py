@@ -1,4 +1,4 @@
-"""Re-keyed stream handles against numpy's own keyed Generators."""
+"""Re-keyed stream arrays against numpy's own keyed Generators."""
 
 import sys
 import threading
@@ -19,7 +19,7 @@ from rmatgen._rng import (
     DOMAIN_ORACLE,
     DOMAIN_PERTURB,
     DOMAIN_TILE,
-    Stream,
+    Streams,
     keyed_stream,
 )
 from conftest import SKEWED, UNIFORM, params_for, variable_table
@@ -29,30 +29,32 @@ DOMAINS = (DOMAIN_BLOCK, DOMAIN_NODE, DOMAIN_TILE, DOMAIN_PERTURB, DOMAIN_ORACLE
 
 
 def test_stream_pieces_equal_one_keyed_draw():
-    # Cuts at random points, repeated cuts giving zero-length pieces; two
-    # handles drawn in turn re-key the shared Philox between every piece.
+    # Cuts at random points, repeated cuts giving zero-length pieces; the
+    # rows of one array are drawn together, so the shared Philox is
+    # re-keyed between every row's piece, and a slice of the rows draws
+    # through to the array's pos.
     rng = np.random.default_rng(2024)
     unaligned = 0
     for trial in range(400):
-        keys = [
-            (int(rng.integers(0, 2**64, dtype=np.uint64)), DOMAINS[(trial + j) % 5],
-             int(rng.integers(0, 2**64, dtype=np.uint64)))
-            for j in range(2)
-        ]
-        totals = [int(rng.integers(0, 120)) for _ in keys]
+        seed, domain = int(rng.integers(0, 2**64, dtype=np.uint64)), DOMAINS[trial % 5]
+        payloads = rng.integers(0, 2**64, size=3, dtype=np.uint64)
+        totals = rng.integers(0, 120, size=3)
         cuts = [np.sort(rng.integers(0, n + 1, size=int(rng.integers(0, 9)))) for n in totals]
         bounds = [list(zip([0, *c], [*c, n])) for c, n in zip(cuts, totals)]
-        streams = [Stream(*key) for key in keys]
-        pieces: list[list[np.ndarray]] = [[], []]
+        streams = Streams(seed, domain, payloads)
+        pieces: list[list[np.ndarray]] = [[], [], []]
         for step in range(max(len(b) for b in bounds)):
-            for i in (0, 1):
-                if step < len(bounds[i]):
-                    lo, hi = bounds[i][step]
-                    unaligned += lo % 4 != 0
-                    pieces[i].append(streams[i].words(int(hi - lo)))
-        for key, n, got, stream in zip(keys, totals, pieces, streams):
-            want = keyed_stream(*key).bit_generator.random_raw(n)
-            assert stream.pos == n
+            sizes = np.array([b[step][1] - b[step][0] if step < len(b) else 0 for b in bounds])
+            unaligned += int((streams.pos % 4 != 0).sum())
+            rows = slice(None) if step % 2 else slice(1, 3)
+            if step % 2 == 0:
+                pieces[0].append(streams[:1].words(sizes[:1]))
+            words = streams[rows].words(sizes[rows])
+            for i, n in zip(range(3)[rows], np.cumsum(sizes[rows]).tolist()):
+                pieces[i].append(words[n - sizes[i] : n])
+        assert streams.pos.tolist() == totals.tolist()
+        for payload, n, got in zip(payloads.tolist(), totals.tolist(), pieces):
+            want = keyed_stream(seed, domain, payload).bit_generator.random_raw(n)
             assert np.array_equal(np.concatenate(got), want)
     assert unaligned > 500
 
@@ -60,20 +62,24 @@ def test_stream_pieces_equal_one_keyed_draw():
 def test_stream_piece_draws_from_the_counter_second_word():
     # Piece p of a key is numpy's Philox under that key from counter
     # (0, p, 0, 0), however its draws are cut, with the pieces of one key
-    # drawn in turn so the shared Philox is re-keyed between every draw.
+    # as the rows of one array, so the shared Philox is re-keyed between
+    # every row.
     rng = np.random.default_rng(16)
     pieces = (0, 1, 2, 9, 2**32, 2**64 - 1)
     for trial in range(60):
         key = (int(rng.integers(0, 2**64, dtype=np.uint64)), DOMAINS[trial % 5],
                int(rng.integers(0, 2**64, dtype=np.uint64)))
-        streams = [Stream(*key, piece=p) for p in pieces]
-        totals = [int(rng.integers(0, 90)) for _ in pieces]
+        streams = Streams(key[0], key[1], [key[2]] * len(pieces))
+        streams.piece[:] = pieces
+        totals = rng.integers(0, 90, size=len(pieces))
         got: list[list[np.ndarray]] = [[] for _ in pieces]
-        while any(s.pos < n for s, n in zip(streams, totals)):
-            for stream, n, out in zip(streams, totals, got):
-                out.append(stream.words(min(int(rng.integers(0, 7)), n - stream.pos)))
+        while (streams.pos < totals).any():
+            sizes = np.minimum(rng.integers(0, 7, size=len(pieces)), totals - streams.pos)
+            words = streams.words(sizes)
+            for out, n, size in zip(got, np.cumsum(sizes).tolist(), sizes.tolist()):
+                out.append(words[n - size : n])
         philox_key = keyed_stream(*key).bit_generator.state["state"]["key"]
-        for p, n, out in zip(pieces, totals, got):
+        for p, n, out in zip(pieces, totals.tolist(), got):
             counter = np.array([0, p, 0, 0], dtype=np.uint64)
             want = np.random.Philox(key=philox_key, counter=counter).random_raw(n)
             assert np.array_equal(np.concatenate(out), want)
@@ -113,7 +119,7 @@ def test_split_matches_fresh_generator_per_node():
             assert sum(got) == count
             nodes += 1
         # A kernel-style draw in between moves the shared Philox elsewhere.
-        Stream(step, DOMAIN_TILE, step).words(step % 7)
+        Streams(step, DOMAIN_TILE, step).words(np.array([step % 7]))
     assert nodes >= 2000
 
 
