@@ -5,21 +5,32 @@ and of their column bits.  Two vectorized kernels cut those windows, and
 the test suite holds both to a scalar loop, one fragment at a time:
 
 - The word-stream kernel serves every variable-depth table.  It packs the
-  sampled fragments into one uint64 bit stream per side (row and column)
-  and cuts edge j as the k-bit window at bit j*k, a fixed number of
-  vector operations per edge.
+  sampled fragments into a bit stream per side (row and column) and cuts
+  edge j as the k-bit window at bit j*k, a fixed number of vector
+  operations per edge.  Up to k = 32, when no entry is deeper than 32
+  bits (every default table: Graph500 at S = 8191 is at most 15 deep),
+  both sides share one uint64 lane, row bits in the high half of each
+  word and column bits in the low half; otherwise a row lane and a
+  column lane of 64-bit words.  One body serves both layouts: the word
+  width, the lane array and the factor that copies a shift count into
+  every lane are its data.
 - The fixed-depth kernel exploits the periodic alignment of equal-depth
   fragments with edges.  It serves every unit of a fixed-depth table,
   blocks and tile batches alike, at any k, with row and column bits in
-  one 64-bit lane up to k = 32 and in two lanes above, and it is about
-  twice as fast as the word stream.
+  one 64-bit lane up to k = 32 and in two lanes above.  On a fixed
+  depth-8 table at k = 20 it makes one block about 1.4x as fast as the
+  word stream does (2.3x before the word stream's one lane).
 
 One entry, `_emit`, takes a batch of segments, a count per row of a
 stream array, and emits their edges back to back, which lets the
 partition module fill many small tiles in one call; a block is one row.
 It works through a call in chunks of at most _CHUNK_EDGES edges, each
 written into its slice of the call's output, so the temporaries scale
-with a chunk, not with the call.  Where a chunk stops, the kernel writes
+with a chunk, not with the call.  The word stream writes its temporaries
+into buffers each thread keeps (`_kept`) and slices its edge-cut arrays
+from one set per k (`_cuts`).  A tile batch hands over its tiles'
+coordinate prefixes, which the entry ORs into each chunk's edges.  Where
+a chunk stops, the kernel writes
 each stream's place in its fragments into the arrays (see
 `_rng.Streams`), and the next chunk or call on those streams goes on
 from there with the same bits.
@@ -57,7 +68,7 @@ import threading
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -76,19 +87,34 @@ DEFAULT_BLOCK_SIZE = 1 << 16
 #: Xeon, numpy 2.4).
 _CHUNK_EDGES = 1 << 14
 
-# Each thread keeps its last unit's output, and a large temporary of its
-# last chunk that lies above most of the others, until it has made the
-# next, so that glibc's malloc does not hand the top of the heap back to
-# the OS after every unit or chunk, only to fault the same pages in again:
-# `rmat generate -k 20 -m 8388608` took 455k page faults instead of 7.6k
-# when units were not kept, and 1.65x the time, and 438k instead of 8.0k
-# when chunks of 2^14 edges were not kept.
+# Each thread keeps its last unit's output until it has made the next, the
+# word stream's chunk buffers (`_kept`) at the size of its largest chunk,
+# and the fixed-depth kernel's largest temporary of its last chunk, so that
+# glibc's malloc does not hand the top of the heap back to the OS after
+# every unit or chunk, only to fault the same pages in again: `rmat
+# generate -k 20 -m 8388608` took 455k page faults instead of 7.6k when
+# units were not kept, and 1.65x the time, and 438k instead of 8.0k when
+# chunks of 2^14 edges were not kept.  With the word stream's temporaries
+# in kept buffers it takes 6.9k, and a chunk no longer depends on where
+# its temporaries happen to land.
 _held = threading.local()
 
 _ONE = np.uint64(1)
-_SIX = np.uint64(6)
-_LOW6 = np.uint64(63)
+_DOUBLE = np.uint64((1 << 32) | 1)  # times a 32-bit count: that count in both halves
 _MASK32 = np.uint64(0xFFFFFFFF)
+
+
+def _kept(name: str, size: int) -> np.ndarray:
+    """The first `size` words of this thread's kept uint64 buffer `name`.
+
+    A buffer grows to the most words asked of it and is kept, so the chunks
+    a thread runs reuse the same pages (see _held).
+    """
+    buf = getattr(_held, name, None)
+    if buf is None or len(buf) < size:
+        buf = np.empty(size, dtype=np.uint64)
+        setattr(_held, name, buf)
+    return buf[:size]
 
 
 class Edge(NamedTuple):
@@ -139,7 +165,9 @@ class _Compiled:
     thr32: np.ndarray
     jump: np.ndarray  # intp
     depths: np.ndarray
-    packed: np.ndarray | None  # (row_bits << 32) | col_bits for fixed tables
+    # (row_bits << 32) | col_bits, when no entry is deeper than 32 bits: the
+    # one-lane word of both kernels, and every fixed table's
+    packed: np.ndarray | None
     bits: np.ndarray  # (2, len(table)) uint64: row bits over column bits
     index_mask: np.uint64  # sampler.size - 1; that size is a power of two
     fixed_depth: int | None  # set when every entry has the same depth
@@ -157,7 +185,8 @@ def _compile(table: FragmentTable) -> _Compiled:
         jump=alias - np.arange(len(alias)),
         depths=table.depths,
         # Equal depths need 4**depth entries, so a fixed table always packs.
-        packed=(table.row_bits << np.uint64(32)) | table.col_bits if fixed else None,
+        packed=(table.row_bits << np.uint64(32)) | table.col_bits
+        if table.max_depth <= 32 else None,
         bits=np.stack([table.row_bits, table.col_bits]).astype(np.uint64),
         index_mask=np.uint64(table.sampler.size - 1),
         fixed_depth=dmin if fixed else None,
@@ -166,16 +195,24 @@ def _compile(table: FragmentTable) -> _Compiled:
     )
 
 
-def _select(comp: _Compiled, raw: np.ndarray) -> np.ndarray:
+def _select(comp: _Compiled, raw: np.ndarray, out: np.ndarray | None = None,
+            work: np.ndarray | None = None) -> np.ndarray:
     # One word per sample: its high half masked to a power-of-two bucket
     # count is the bucket (viewed as int64, no copy); its low half the
     # fraction, which keeps the bucket below thr32 and jumps to the alias
     # from there on.  Two gathers and integer arithmetic, no select.  The
-    # entries go into a new array, made last as np.where's were: adding in
-    # place into idx took `rmat generate -k 20 -m 8388608` from 8.0k minor
-    # faults to 14.9k.
-    idx = ((raw >> np.uint64(32)) & comp.index_mask).view(np.int64)
-    return idx + np.take(comp.jump, idx) * ((raw & _MASK32) >= np.take(comp.thr32, idx))
+    # entries go into out and the gathers into work, uint64 arrays of raw's
+    # length, when those are given, and raw ends as the 0/1 jump flags.
+    idx = np.right_shift(raw, np.uint64(32), out=out)
+    idx &= comp.index_mask
+    idx = idx.view(np.int64)
+    raw &= _MASK32
+    thr = comp.thr32.take(idx, mode="clip", out=work)
+    np.greater_equal(raw, thr, out=raw)
+    jump = comp.jump.take(idx, mode="clip", out=thr.view(np.intp))
+    jump *= raw.view(np.int64)
+    idx += jump
+    return idx
 
 
 @cache
@@ -273,8 +310,8 @@ def _fixed_chunk(comp: _Compiled, k: int, counts: np.ndarray, streams: Streams,
     return samples
 
 
-def _emit(comp: _Compiled, k: int, counts: np.ndarray, streams: Streams
-          ) -> tuple[np.ndarray, int]:
+def _emit(comp: _Compiled, k: int, counts: np.ndarray, streams: Streams,
+          prefix: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """The one kernel entry, for blocks and tile batches of any table.
 
     counts[i] >= 1 edges come from each row of streams, back to back, each
@@ -283,8 +320,10 @@ def _emit(comp: _Compiled, k: int, counts: np.ndarray, streams: Streams
     edges, each written into its slice of the output.  A chunk gets views
     of the rows it overlaps, so a segment that a chunk boundary cuts goes
     on in the next chunk from the (pos, carry) the first part left, and so
-    can a later call that takes the same streams.  Returns the edges and
-    the number of samples they used.
+    can a later call that takes the same streams.  prefix, when given, is a
+    (len(counts), 2) uint64 array ORed into each of row i's edges, a chunk
+    at a time: a tile batch's coordinates above its inner bits.  Returns
+    the edges and the number of samples they used.
     """
     chunk = _emit_words if comp.fixed_depth is None else _fixed_chunk
     ends = np.cumsum(counts)
@@ -306,6 +345,8 @@ def _emit(comp: _Compiled, k: int, counts: np.ndarray, streams: Streams
         # The chunk's part of each segment it overlaps.
         pieces = np.minimum(ends[first:stop], hi) - np.maximum(starts[first:stop], lo)
         samples += chunk(comp, k, pieces, streams[first:stop], edges[lo:hi])
+        if prefix is not None:
+            edges[lo:hi] |= np.repeat(prefix[first:stop], pieces, axis=0)
     return edges, samples
 
 
@@ -319,72 +360,131 @@ def _emit_words(comp: _Compiled, k: int, counts: np.ndarray, streams: Streams,
     A stream with a carry starts inside the fragment at its position: that
     word is drawn again, only its low `carry` bits are used, and it is not
     a new sample.  The used fragments of all pieces thus form one bit
-    stream, packed most significant bit first into uint64 words (a row
-    word and a column word per 64 bits), and edge j is the k-bit window at
-    bit j*k.  Draws past a piece's last fragment stay in place as entries
-    of no bits.  Each stream is left at its clamped fragment with the cut
-    bits as its carry, or past it when nothing was cut.
+    stream per side, most significant bit first, and edge j is the k-bit
+    window at bit j*k of each.  Draws past a piece's last fragment stay in
+    place as entries of no bits.  Each stream is left at its clamped
+    fragment with the cut bits as its carry, or past it when nothing was
+    cut.
+
+    The two streams are cut into words of one layout, picked per chunk:
+    - one lane, when k <= 32 and the table packs (no entry deeper than 32):
+      a uint64 word holds 32 bits of the row stream in its high half and
+      the same 32 bits of the column stream in its low half, so each step
+      runs once for both sides.  Shifts act on the word viewed as two
+      uint32 halves, with each shift count doubled into both halves, so
+      no bit crosses from one half into the other.
+    - two lanes otherwise: a row word over a column word, 64 bits each.
     """
+    one = k <= 32 and comp.packed is not None
+    width, half, double = (32, np.uint32, _DOUBLE) if one else (64, np.uint64, _ONE)
+    lanes = comp.packed[None] if one else comp.bits
+    nl = len(lanes)
     starts = streams.pos.copy()
     carry = streams.carry.astype(np.uint64)
+    resumed = carry.nonzero()[0]
     needs = counts.astype(np.uint64) * np.uint64(k)
-    sel, dep, csum, lo, base = _cover(comp, needs, streams, carry)
+    sel, dep, csum, lo, base = _cover(comp, needs, streams, carry, resumed)
 
     # A piece's last fragment is the first whose end reaches its base plus
     # its need; the bits past that point are its stream's new carry, and
     # later draws go unused.
     reach = base + needs
-    last = np.searchsorted(csum, reach)
+    last = csum.searchsorted(reach)
     nfs = last - lo + 1
     cut = csum[last] - reach
     streams.pos[:] = starts + nfs - (cut > 0)
     streams.carry[:] = cut
-    resumed = np.flatnonzero(carry)
     # The unused draws after each piece's last fragment stay in place as
     # entries of no bits, and each last fragment is clamped, so the running
     # sum of the depths is where each entry's bits end in the joint stream.
     # It stands up to the first piece's last fragment and is summed again
     # from there, in place; no pass over the entries compacts them.
-    spare = np.diff(lo, append=len(sel)) - nfs
-    idle = np.repeat(last + 1 - (np.cumsum(spare) - spare), spare) + np.arange(spare.sum())
+    if len(counts) == 1:
+        idle = slice(int(last[0]) + 1, None)
+    else:
+        spare = np.diff(lo, append=len(sel)) - nfs
+        idle = np.repeat(last + 1 - (spare.cumsum() - spare), spare) + np.arange(spare.sum())
     dep[idle] = 0
     dep[last] -= cut
-    dep[last[0]] = csum[last[0]] - cut[0]
+    first = int(last[0])
+    dep[first] = csum[first] - cut[0]
     end = csum
-    np.cumsum(dep[last[0]:], out=end[last[0]:])
-    del dep
-    vals = np.take(comp.bits, sel, axis=1)
+    dep[first:].cumsum(out=end[first:])
+    n = len(sel)
+    vals = lanes.take(sel, axis=1, mode="clip", out=_kept("vals", nl * n).reshape(nl, n))
     vals[:, idle] = 0
-    vals[:, lo[resumed]] &= (_ONE << carry[resumed]) - _ONE
-    vals[:, last] >>= cut
+    if len(resumed):
+        vals[:, lo[resumed]] &= ((_ONE << carry[resumed]) - _ONE) * double
+    tail = vals[:, last].view(half)
+    np.right_shift(tail, (cut * double).view(half), out=tail)
+    vals[:, last] = tail.view(np.uint64)
 
     # Shift each fragment so its last bit lands at its place in the word
     # that holds it, and OR each run of fragments ending in one word into
-    # that word.  Fragments are at most 62 bits deep, so every word holds
+    # that word.  Fragments are at most one word deep, so every word holds
     # at least one fragment end, and only the first fragment ending in a
     # word can start in the previous one: its spill is ORed in afterwards.
-    shift = -end & _LOW6
-    word = (end - _ONE) >> _SIX
-    first = np.flatnonzero(word[1:] != word[:-1]) + 1
-    spill = (np.take(vals, first, axis=1) >> _ONE) >> (_LOW6 - shift[first])
-    vals <<= shift
-    words = np.bitwise_or.reduceat(vals, np.concatenate(([0], first)), axis=1)
-    words[:, :-1] |= spill
+    # A shift is the same count in every lane of a word.
+    shift = np.negative(end, out=_kept("sel", n))
+    shift &= np.uint64(width - 1)
+    shift *= double
+    word = np.subtract(end, _ONE, out=_kept("dep", n))
+    word >>= np.uint64(width.bit_length() - 1)
+    bound = _kept("words", -(-n // 8)).view(bool)[:n]  # free until the words are made
+    bound[0] = True
+    np.not_equal(word[1:], word[:-1], out=bound[1:])
+    heads = bound.nonzero()[0]
+    spill = vals.take(heads[1:], axis=1).view(half)
+    np.right_shift(spill, half(width) - shift.take(heads[1:]).view(half), out=spill)
+    vals = vals.view(half)
+    vals <<= shift.view(half)
+    # A pad word after the last, never read into an edge, makes the words
+    # after the edges' words a view.
+    nw = len(heads)
+    padded = _kept("words", nl * (nw + 1)).reshape(nl, nw + 1)
+    words = np.bitwise_or.reduceat(vals.view(np.uint64), heads, axis=1, out=padded[:, :-1])
+    words[:, :-1] |= spill.view(np.uint64)
 
-    # Edge j is the top k of the 128 bits of words w and w+1 from offset
-    # off; when it ends inside word w, word w+1 is shifted out entirely.
-    pos = np.arange(len(out), dtype=np.uint64) * np.uint64(k)
-    w = (pos >> _SIX).astype(np.intp)
-    off = pos & _LOW6
-    left = np.take(words, w, axis=1)
-    right = np.take(words, w + 1, axis=1, mode="clip")
-    left <<= off
-    right >>= _ONE
-    right >>= _LOW6 - off
+    # Edge j is the top k bits of each lane of words w and w+1, joined, from
+    # offset off; when it ends inside word w, word w+1 is shifted out.
+    m = len(out)
+    w, off, back = (a[:m] for a in _cuts(k, width, _CHUNK_EDGES))
+    left = words.take(w, axis=1, mode="clip", out=_kept("sel", nl * m).reshape(nl, m))
+    right = padded[:, 1:].take(w, axis=1, mode="clip", out=_kept("dep", nl * m).reshape(nl, m))
+    lhalf, rhalf = left.view(half), right.view(half)
+    lhalf <<= off.view(half)
+    rhalf >>= back.view(half)
     left |= right
-    np.right_shift(left, np.uint64(64 - k), out=out.T)
-    _held.scratch = left
+    top = np.uint64(64 - k)
+    if one:  # the row half, then the column half moved up in its place
+        np.right_shift(left[0], top, out=out[:, 0])
+        left <<= np.uint64(32)
+        np.right_shift(left[0], top, out=out[:, 1])
+    else:
+        np.right_shift(left, top, out=out.T)
     return int(nfs.sum()) - len(resumed)
+
+
+@lru_cache(maxsize=4)
+def _cuts(k: int, width: int, edges: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each of the first `edges` edges at k starts among `width`-bit words.
+
+    Returns each edge's word, and its offset in that word and the width
+    less that offset, the two shifts that join the word with the next, as
+    uint64 words that hold them once per lane (twice for 32-bit words).
+    The word-stream kernel slices them for each chunk.  Built per chunk,
+    they took 170 us, about a sixth of a 2^14-edge chunk at k = 20 (2-core
+    Xeon, numpy 2.4); keyed by chunk length, tile batches would keep one
+    set per length.
+    """
+    pos = np.arange(edges, dtype=np.uint64) * np.uint64(k)
+    off = pos & np.uint64(width - 1)
+    double = _DOUBLE if width == 32 else _ONE
+    cuts = ((pos >> np.uint64(width.bit_length() - 1)).astype(np.intp),
+            off * double, (np.uint64(width) - off) * double)
+    for a in cuts:
+        a.flags.writeable = False  # every caller shares them
+    return cuts
 
 
 #: How many standard deviations of a piece's sample count its first draw
@@ -405,20 +505,23 @@ def _draw_sizes(comp: _Compiled, bits):
 
 
 def _cover(
-    comp: _Compiled, needs: np.ndarray, streams: Streams, carry: np.ndarray
+    comp: _Compiled, needs: np.ndarray, streams: Streams, carry: np.ndarray, resumed: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Fragments whose depths cover needs[i] bits from each of the streams.
 
     Returns the selected entries of all streams back to back, their depths
     and the running sum of those, and for each stream the index of its
     first entry and the depth sum before it.  A stream's first entry counts
-    only its carry bits when it has a carry.  A stream is drawn in the
-    sizes of its own estimate and top-ups; the words do not depend on
-    those sizes.
+    only its carry bits when it has a carry; resumed lists those streams.
+    A stream is drawn in the sizes of its own estimate and top-ups; the
+    words do not depend on those sizes.  The first draw's entries and
+    depths go into kept buffers, and its words become the running sum.
     """
     sizes = _draw_sizes(comp, needs)
-    sel = _select(comp, streams.words(sizes))
-    dep, csum, lo, base = _depth_sums(comp, sel, sizes, carry)
+    raw = streams.words(sizes)
+    n = len(raw)
+    sel = _select(comp, raw, _kept("sel", n), _kept("dep", n))
+    dep, csum, lo, base = _depth_sums(comp, sel, sizes, carry, resumed, _kept("dep", n), raw)
     got = csum[lo + sizes - 1] - base
     if (got >= needs).all():
         return sel, dep, csum, lo, base
@@ -430,22 +533,24 @@ def _cover(
             runs[i] = np.concatenate([runs[i], more])
             short -= int(np.take(comp.depths, more).sum())
     sel = np.concatenate(runs)
-    return sel, *_depth_sums(comp, sel, np.array([len(x) for x in runs]), carry)
+    return sel, *_depth_sums(comp, sel, np.array([len(x) for x in runs]), carry, resumed)
 
 
 def _depth_sums(
-    comp: _Compiled, sel: np.ndarray, sizes: np.ndarray, carry: np.ndarray
+    comp: _Compiled, sel: np.ndarray, sizes: np.ndarray, carry: np.ndarray, resumed: np.ndarray,
+    dep: np.ndarray | None = None, csum: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Depths of runs of `sizes` entries whose first entries are `carry` bits
-    deep where that is set, their running sum, each run's first index and
-    the sum before it."""
-    lo = np.cumsum(sizes) - sizes
-    dep = np.take(comp.depths, sel)
-    resumed = np.flatnonzero(carry)
-    dep[lo[resumed]] = carry[resumed]
-    csum = np.cumsum(dep)
-    base = np.zeros(len(sizes), dtype=np.uint64)
-    base[1:] = csum[lo[1:] - 1]
+    deep in the `resumed` runs, their running sum, each run's first index
+    and the sum before it.  The depths and the sum go into dep and csum
+    when those are given, uint64 arrays of sel's length."""
+    lo = sizes.cumsum() - sizes
+    dep = comp.depths.take(sel, mode="clip", out=dep)
+    if len(resumed):
+        dep[lo[resumed]] = carry[resumed]
+    csum = dep.cumsum(out=csum)
+    base = csum[lo - 1]  # lo[0] - 1 is the last entry: the first run's base is 0
+    base[0] = 0
     return dep, csum, lo, base
 
 

@@ -254,7 +254,10 @@ def _batch(comp, tiles: np.recarray, k: int, t: int, seed: int,
     """Edges of a batch of tile pieces back to back, from one kernel call.
 
     The first entry is piece `piece` of its tile and every later one its
-    tile's piece 0.
+    tile's piece 0.  The kernel ORs each tile's prefix into its edges a
+    chunk at a time: one repeat of the prefixes over the whole batch took
+    pages the kernel's kept buffers no longer free, and tiled-part's peak
+    RSS rose 0.9 MB (2-core Xeon, numpy 2.4).
     """
     streams = Streams(seed, DOMAIN_TILE, (tiles.tile_row << t) | tiles.tile_col)
     streams.piece[0] = piece
@@ -263,11 +266,7 @@ def _batch(comp, tiles: np.recarray, k: int, t: int, seed: int,
     prefix <<= np.uint64(inner)
     if not inner:
         return np.repeat(prefix, tiles.count, axis=0), 0
-    edges, used = _emit(comp, inner, tiles.count, streams)
-    # Repeated after the kernel, into pages its chunks have just freed:
-    # repeated before it, tiled-part took 30k page faults, not 14k.
-    edges |= np.repeat(prefix, tiles.count, axis=0)
-    return edges, used
+    return _emit(comp, inner, tiles.count, streams, prefix)
 
 
 def _check_tiles(plan: PartitionPlan, part: int, cells: np.recarray) -> None:

@@ -10,6 +10,7 @@ pure function.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -24,6 +25,9 @@ MAX_ENUM_K = 12
 #: The classical validity rule of the chi-square test: every cell expects
 #: at least this many counts.  Rarer cells are pooled first.
 MIN_EXPECTED = 5.0
+
+#: Cells per slice of pool_small_cells's running sum of the pooled probabilities.
+_POOL_SLICE = 1 << 16
 
 
 class KTooLargeForEnumeration(ValueError):
@@ -155,25 +159,41 @@ def pool_small_cells(probs: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray,
     probs = np.asarray(probs, dtype=np.float64)
     counts = np.asarray(counts)
     total = int(counts.sum())
+    cells = len(probs)
     order = np.argsort(probs, kind="stable")
-    csum = np.cumsum(probs[order]) * total
-    expected = probs * total
     # Pool the n smallest cells, where n is the largest count for which the
     # n-th smallest cell is individually short OR the pool is still short.
-    short = expected[order] < MIN_EXPECTED
-    n_pool = int(short.sum())
-    while 0 < n_pool < len(probs) and csum[n_pool - 1] < MIN_EXPECTED:
-        n_pool += 1
+    # total*p grows with p, so the short cells lead the order: a binary
+    # search finds them, and only the pool's running sum is taken, a slice
+    # at a time, instead of arrays of every cell's sum and expectation.
+    n_pool = bisect.bisect_left(range(cells), True,
+                                key=lambda i: probs[order[i]] * total >= MIN_EXPECTED)
+    if 0 < n_pool < cells:
+        pool = 0.0
+        for lo in range(0, n_pool, _POOL_SLICE):
+            part = probs[order[lo : lo + _POOL_SLICE][: n_pool - lo]]
+            part[0] += pool  # the running sum goes on from the last slice's end
+            pool = np.cumsum(part)[-1]
+        while n_pool < cells and pool * total < MIN_EXPECTED:
+            pool += probs[order[n_pool]]
+            n_pool += 1
     if n_pool == 0:
         return probs, counts
-    if n_pool >= len(probs):
+    if n_pool >= cells:
         raise SampleTooSmall(
-            f"pooling all {len(probs)} cells still cannot reach {MIN_EXPECTED} expected"
+            f"pooling all {cells} cells still cannot reach {MIN_EXPECTED} expected"
         )
     pooled = order[:n_pool]
-    kept = np.sort(order[n_pool:])
-    out_probs = np.append(probs[kept], probs[pooled].sum())
-    out_counts = np.append(counts[kept], counts[pooled].sum())
+    pooled_prob = probs[pooled].sum()  # in the pool's order, which sets the rounding
+    kept = np.ones(cells, dtype=bool)
+    kept[pooled] = False
+    del order, pooled
+    out_probs = np.empty(cells - n_pool + 1)
+    out_counts = np.empty(cells - n_pool + 1, dtype=counts.dtype)
+    np.compress(kept, probs, out=out_probs[:-1])
+    np.compress(kept, counts, out=out_counts[:-1])
+    out_probs[-1] = pooled_prob
+    out_counts[-1] = total - out_counts[:-1].sum()
     return out_probs, out_counts
 
 

@@ -712,3 +712,89 @@ def test_kernel_scratch_scales_with_the_chunk():
             tracemalloc.stop()
         scratch.append(peak - 16 * count)
     assert 0 < scratch[1] <= 2 * scratch[0], scratch
+
+
+# -------------------------------------------------------------------- lanes
+
+
+def capped_table(cap):
+    # SKEWED paths run deepest; the cap is the table's deepest entry.
+    return build_variable_table(params_for(SKEWED, 4), 8191, depth_cap=cap)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+@pytest.mark.parametrize("cap,k,lanes", [(32, 20, 1), (32, 32, 1), (33, 20, 2), (33, 32, 2),
+                                         (None, 33, 2)])
+def test_word_stream_lanes_match_reference(cap, k, lanes, chunk, monkeypatch):
+    # The word stream carries both sides in one 64-bit lane while k <= 32
+    # and no entry is deeper than 32 bits, and in a row lane over a column
+    # lane otherwise.  Entries exactly 32 and 33 deep sit on either side of
+    # that bound; the shallow G500 table packs, but k = 33 takes two lanes.
+    table = capped_table(cap) if cap else table_for("v253")
+    comp = _compile(table)
+    assert table.max_depth == (cap or table.max_depth)
+    assert (comp.packed is not None) == (table.max_depth <= 32)
+    # The kernel reads only the layout it picks: zeroing the other one's
+    # entries changes no byte.
+    if lanes == 1:
+        comp = dataclasses.replace(comp, bits=np.zeros_like(comp.bits))
+    elif comp.packed is not None:
+        comp = dataclasses.replace(comp, packed=np.zeros_like(comp.packed))
+    counts = [300, 1, 45, 2, 3]
+    refs = [_emit_reference(table, k, c, (9, i)) for i, c in enumerate(counts)]
+    monkeypatch.setattr(generator, "_CHUNK_EDGES", chunk)
+    got, used = _emit(comp, k, np.array(counts), Streams(9, DOMAIN_BLOCK, range(len(counts))))
+    assert used == sum(r[1] for r in refs)
+    assert (got == np.concatenate([r[0] for r in refs])).all()
+
+
+def test_kernel_keeps_one_chunk_of_scratch():
+    # A thread keeps its chunk buffers at the size of the largest chunk it
+    # has run, and the edge-cut arrays once per k.  Filling a tiled part,
+    # whose batches cut chunks of many lengths, must leave about what one
+    # full chunk at the same inner k leaves: a cache of cut arrays per chunk
+    # length held 6 MB on `rmat generate -k 20 -m 4194304 --tiles 8
+    # --parts 4 --part 0`.
+    table = variable_table(G500, 20, 8191)
+    plan = default_plan(k=20, t=8, m=2**21, seed=7, parts=4)
+
+    def retained(work):
+        """Bytes a fresh thread still holds after work(), less its last unit's edges."""
+        kept = []
+
+        def run():
+            generator._cuts.cache_clear()
+            tracemalloc.start()
+            try:
+                work()
+                held = getattr(generator._held, "out", None)
+                kept.append(tracemalloc.get_traced_memory()[0]
+                            - (0 if held is None else held.nbytes))
+            finally:
+                tracemalloc.stop()
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join()
+        return kept[0]
+
+    def one_chunk():
+        _emit(_compile(table), 12, *block(generator._CHUNK_EDGES, 7, 0))
+
+    lengths = set()
+    emit_words = generator._emit_words
+
+    def part():
+        for _ in partition_mod.generate_part_stream(plan, params_for(G500, 20), table):
+            pass
+
+    def counted(comp, k, counts, streams, out):
+        lengths.add(len(out))
+        return emit_words(comp, k, counts, streams, out)
+
+    chunk = retained(one_chunk)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generator, "_emit_words", counted)
+        filled = retained(part)
+    assert len(lengths) >= 5
+    assert 0 < filled <= 1.5 * chunk, (filled, chunk)

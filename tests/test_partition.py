@@ -644,9 +644,9 @@ def test_generate_part_batches_close_at_one_block(monkeypatch):
     calls = []
     original = partition_mod._emit
 
-    def counting(comp, k, counts, streams):
+    def counting(comp, k, counts, streams, prefix):
         calls.append(counts.tolist())
-        return original(comp, k, counts, streams)
+        return original(comp, k, counts, streams, prefix)
 
     monkeypatch.setattr(partition_mod, "_emit", counting)
     k = 14
@@ -719,10 +719,10 @@ def test_generate_part_error_propagates_from_threads(monkeypatch):
     calls = itertools.count()
     emit = partition_mod._emit
 
-    def failing(comp, k, counts, streams):
+    def failing(comp, k, counts, streams, prefix):
         if next(calls) == 2:
             raise MemoryError("batch 2")
-        return emit(comp, k, counts, streams)
+        return emit(comp, k, counts, streams, prefix)
 
     monkeypatch.setattr(partition_mod, "_emit", failing)
     raised = []

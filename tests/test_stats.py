@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from rmatgen import (
     naive_edges,
     pool_small_cells,
 )
-from rmatgen.stats import InvalidExpectedVector
+import rmatgen.stats as stats_mod
+from rmatgen.stats import MIN_EXPECTED, InvalidExpectedVector
 from conftest import SKEWED, UNIFORM, params_for, variable_table
 
 G500 = (0.57, 0.19, 0.19, 0.05)
@@ -179,6 +181,78 @@ def test_pool_small_cells_infeasible():
     counts[0] = 3  # total 3 < 5 expected in any pooling
     with pytest.raises(SampleTooSmall):
         pool_small_cells(probs, counts)
+
+
+def pooled_by_arrays(probs, counts):
+    """pool_small_cells as whole-array steps: the running sum and expected
+    count of every cell in probability order, then the kept cells sorted."""
+    total = int(counts.sum())
+    order = np.argsort(probs, kind="stable")
+    csum = np.cumsum(probs[order]) * total
+    n_pool = int(((probs * total)[order] < MIN_EXPECTED).sum())
+    while 0 < n_pool < len(probs) and csum[n_pool - 1] < MIN_EXPECTED:
+        n_pool += 1
+    if n_pool == 0:
+        return probs, counts
+    if n_pool >= len(probs):
+        raise SampleTooSmall("pooling every cell")
+    pooled, kept = order[:n_pool], np.sort(order[n_pool:])
+    return (np.append(probs[kept], probs[pooled].sum()),
+            np.append(counts[kept], counts[pooled].sum()))
+
+
+@pytest.mark.parametrize("quads", [G500, SKEWED, UNIFORM, (0.45, 0.15, 0.15, 0.25),
+                                   (0.97, 0.01, 0.01, 0.01)])
+@pytest.mark.parametrize("k,m", [(4, 5000), (7, 10**4), (7, 10**6), (9, 3 * 10**5)])
+def test_pool_small_cells_matches_whole_array_pooling(quads, k, m):
+    # The pool is found by a binary search and a sliced running sum, and
+    # the kept cells by a mask; the cells, the pooled sums and so the
+    # statistic and dof are those of the whole-array steps, bit for bit.
+    # Uniform cells at k >= 7 are too short to pool at all, either way.
+    probs = exact_cell_probs(params_for(quads, k), k)
+    counts = np.random.default_rng(k * m).multinomial(m, probs)
+    try:
+        ref = pooled_by_arrays(probs, counts)
+    except SampleTooSmall:
+        with pytest.raises(SampleTooSmall):
+            pool_small_cells(probs, counts)
+        return
+    got = pool_small_cells(probs, counts)
+    assert got[0].dtype == ref[0].dtype and got[1].dtype == ref[1].dtype
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    assert chi_square(*got[::-1]) == chi_square(*ref[::-1])
+
+
+def test_pool_small_cells_running_sum_spans_slices(monkeypatch):
+    # 21 cells expecting 0.3 each are short alone and enough together: no
+    # cell more joins, though the last slice of 7 alone expects only 2.1.
+    # At (0.97, 0.01, 0.01, 0.01), k = 3 and 1000 edges the 54 short cells
+    # expect less than 5 between them, so one cell more joins the pool.
+    monkeypatch.setattr(stats_mod, "_POOL_SLICE", 7)
+    even = np.concatenate([np.full(21, 0.0003), np.full(10, (1 - 21 * 0.0003) / 10)])
+    skewed = exact_cell_probs(params_for((0.97, 0.01, 0.01, 0.01), 3), 3)
+    for probs, joins in ((even, 0), (skewed, 1)):
+        counts = np.random.default_rng(5).multinomial(1000, probs)
+        got, ref = pool_small_cells(probs, counts), pooled_by_arrays(probs, counts)
+        short = int((probs * 1000 < MIN_EXPECTED).sum())
+        assert len(probs) - len(got[0]) + 1 == short + joins
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
+def test_pool_small_cells_scratch():
+    # Beyond its inputs, pooling 4^10 cells holds the sort order and one
+    # gather or sort buffer at a time: under 2.5x the probabilities' bytes
+    # (whole-array steps held 4.3x).
+    probs = exact_cell_probs(params_for(G500, 10), 10)
+    counts = np.random.default_rng(3).multinomial(1 << 22, probs)
+    tracemalloc.start()
+    try:
+        pp, cc = pool_small_cells(probs, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pp) < len(probs) // 2
+    assert peak < 2.5 * probs.nbytes, peak / probs.nbytes
 
 
 def test_degree_stats_empty():
