@@ -11,9 +11,10 @@ without writing, so a sweep over table sizes or thread counts is a shell
 loop over it; perfbench/ is the harness whose timings count.
 
 `generate` makes one stream of units of edges: blocks from
-`generate_stream`, or, on a tiled run, batches of the part's tiles from
-`generate_part_stream`.  It appends each unit to a temp file as it
-arrives, so memory holds a bounded window of units, not -m edges.
+`generate_stream`, or, on a tiled run, batches of the part's tiles,
+filled from the one plan that also sizes --dedup.  It appends each unit
+to a temp file as it arrives, so memory holds a bounded window of units,
+not -m edges.
 Postprocessing is one chain over the units, each stage on when its
 option is: --undirected maps each unit through to_undirected, --dedup
 runs postprocess.dedup_stream over the whole stream, which hands back
@@ -255,7 +256,7 @@ def run_generate(config: RunConfig) -> int:
     t0 = time.perf_counter()
     tiles = None
     if config.tiles is not None:
-        from .partition import _plan_cells, default_plan, generate_part_stream
+        from .partition import _fill, _plan_cells, default_plan
 
         plan = default_plan(config.k, config.tiles, config.m, config.seed, config.parts)
         tiles = _plan_cells(plan, params, config.part)
@@ -275,7 +276,8 @@ def run_generate(config: RunConfig) -> int:
     t0 += time.perf_counter() - t1
 
     if tiles is not None:
-        units = generate_part_stream(plan, params, table, config.part, config.threads, tiles)
+        # The table is built from params, and the tiles were planned above.
+        _, units = _fill(plan, table, tiles, config.threads)
     else:
         units = generate_stream(GenConfig(params=params, table=table, edge_count=config.m,
                                           seed=config.seed, threads=config.threads))

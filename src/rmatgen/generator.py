@@ -75,7 +75,7 @@ import numpy as np
 
 from ._rng import DOMAIN_BLOCK, DOMAIN_ORACLE, MASK64, Streams, keyed_stream
 from .params import MAX_K, BadExponent, RmatParams
-from .table import FragmentTable, _check_model
+from .table import FragmentTable, _check_model, _depth_moment
 
 DEFAULT_BLOCK_SIZE = 1 << 16
 
@@ -179,7 +179,7 @@ def _compile(table: FragmentTable) -> _Compiled:
     dmin = int(table.depths.min())
     fixed = dmin == int(table.depths.max())
     alias = table.sampler.alias.astype(np.intp)
-    square = float(np.dot(table.probs, table.depths.astype(np.float64) ** 2))
+    square = _depth_moment(table.probs, table.depths, 2)
     return _Compiled(
         thr32=np.ceil(table.sampler.threshold * 2.0**32).astype(np.uint64),
         jump=alias - np.arange(len(alias)),

@@ -26,8 +26,10 @@ class BadExponent(ValueError):
 
 SUM_TOLERANCE = 1e-9
 
-#: Largest supported index width.  One index (k bits) plus one maximum-length
-#: fragment (62 bits) must fit a 124-bit double-word accumulator.
+#: Largest supported index width.  make_scramble_key's range, [1, 62], is
+#: what holds it: both kernels cut an edge from two 64-bit words, and they
+#: matched the scalar reference at k = 63 and 64 too, but no output past
+#: 62 is pinned.
 MAX_K = 62
 
 GRAPH500 = (0.57, 0.19, 0.19, 0.05)

@@ -15,9 +15,9 @@ tile run side by side on threads.  Piece 0 draws the uncut tile's
 stream: a tile of at most a block, and the first block of a bigger one,
 have the bytes of one unsplit call.  A batch of whole pieces is one unit
 of the generator's in-order unit stream, on any number of threads:
-`generate_part_stream`, the one code that fills tiles, yields the units,
-and `generate_part` gathers them into one array.  Tiles given to either
-are checked first.
+`_fill`, the one code that fills tiles, makes the units from a planned
+tile array, `generate_part_stream` yields them and `generate_part`
+gathers them into one array.  Each plans the part's tiles itself.
 
 Neither a split node nor a tile builds a numpy Generator or any other
 object of its own.  Each level of the walk is one loop over its nodes
@@ -36,7 +36,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -66,19 +65,8 @@ class TileCount(NamedTuple):
 
 
 #: TileCount's fields as one record: the tile arrays that _plan_cells
-#: returns and _units, _batch and _check_tiles read have this dtype.
+#: returns and _units and _batch read have this dtype.
 _CELL = np.dtype([("tile_row", np.int64), ("tile_col", np.int64), ("count", np.int64)])
-
-
-def _cells(tiles) -> np.recarray:
-    """tiles as a record array with TileCount's fields; an array is returned as it is."""
-    if isinstance(tiles, np.ndarray):
-        return tiles
-    try:
-        flat = np.fromiter(chain.from_iterable(tiles), np.int64, 3 * len(tiles))
-    except OverflowError:
-        raise ValueError("tile rows, columns and counts must fit in int64") from None
-    return flat.view(_CELL).view(np.recarray)
 
 
 @dataclass(frozen=True)
@@ -214,8 +202,8 @@ def _plan_cells(plan: PartitionPlan, params: RmatParams, part: int) -> np.recarr
     return np.rec.fromarrays([row, col, count], dtype=_CELL)
 
 
-def _units(comp, tiles, k: int, t: int, seed: int) -> tuple[int, list]:
-    """The edge count of `tiles` and the batches that fill it, in order.
+def _units(comp, cells: np.recarray, k: int, t: int, seed: int) -> tuple[int, list]:
+    """The edge count of `cells`, a _CELL array, and the batches that fill it, in order.
 
     Each tile is cut from its start into pieces of a block.  A batch is a
     run of whole pieces that closes once it holds a block, so one kernel
@@ -225,7 +213,6 @@ def _units(comp, tiles, k: int, t: int, seed: int) -> tuple[int, list]:
     later piece: a batch is a record array of its pieces, cut from the
     tile array by one search, and the piece index of its first entry.
     """
-    cells = _cells(tiles)
     cells = cells[cells.count > 0]
     ends = np.cumsum(cells.count)
     starts = ends - cells.count
@@ -269,42 +256,26 @@ def _batch(comp, tiles: np.recarray, k: int, t: int, seed: int,
     return _emit(comp, inner, tiles.count, streams, prefix)
 
 
-def _check_tiles(plan: PartitionPlan, part: int, cells: np.recarray) -> None:
-    """Reject given tiles that the part could not have planned, naming the first in list order."""
-    lo, hi = plan._rows(part)  # owner rows lie in [0, 2^t), so rows need no grid check
-    row, col = cells.tile_row, cells.tile_col
-    outside = (row < lo) | (row >= hi) | (col < 0) | (col >= 1 << plan.t)
-    # Keys are distinct inside the grid; a tile outside it may share a key
-    # with another, but it is reported before any tile after it.
-    key = (row << plan.t) | col
-    order = np.argsort(key, kind="stable")
-    again = np.zeros(len(key), dtype=bool)
-    again[order[1:]] = key[order[1:]] == key[order[:-1]]
-    bad = np.flatnonzero(outside | (cells.count < 0) | again)
-    if not len(bad):
-        return
-    i = int(bad[0])
-    row, col, count = int(row[i]), int(col[i]), int(cells.count[i])
-    if outside[i]:
-        raise ValueError(f"tile ({row}, {col}) outside part {part}'s rows [{lo}, {hi}) "
-                         f"of the 2^{plan.t} grid")
-    if count < 0:
-        raise ValueError(f"tile ({row}, {col}) count must be >= 0, got {count}")
-    raise ValueError(f"tile ({row}, {col}) listed twice")
+def _fill(plan: PartitionPlan, table: FragmentTable, cells: np.recarray,
+          threads: int) -> tuple[int, Iterator[tuple[np.ndarray, int]]]:
+    """The edge count of the planned `cells` and the stream of (edges, samples) that fills them.
+
+    The one fill of a part's tiles: the CLI calls it with the plan it made
+    to size --dedup, and both public functions with theirs.
+    """
+    total, units = _units(_compile(table), cells, plan.k, plan.t, plan.seed)
+    return total, _stream_units(len(units), units, threads)
 
 
 def generate_part_stream(
     plan: PartitionPlan, params: RmatParams, table: FragmentTable,
-    part: int = 0, threads: int = 1, tiles: list[TileCount] | np.ndarray | None = None,
+    part: int = 0, threads: int = 1,
 ) -> Iterator[tuple[np.ndarray, int]]:
     """generate_part's (edges, samples), one batch of tiles at a time; checks its inputs first.
 
     A batch holds about a block of edges, at most two blocks less one.
-    tiles is as in generate_part, or a record array of dtype _CELL.
     """
-    cells = _part_cells(plan, params, table, part, threads, tiles)
-    _, units = _units(_compile(table), cells, plan.k, plan.t, plan.seed)
-    return _stream_units(len(units), units, threads)
+    return _fill(plan, table, _part_cells(plan, params, table, part, threads), threads)[1]
 
 
 def generate_part(
@@ -313,34 +284,26 @@ def generate_part(
     table: FragmentTable,
     part: int = 0,
     threads: int = 1,
-    tiles: list[TileCount] | None = None,
 ) -> tuple[np.ndarray, list[TileCount], int]:
     """All edges of one part, in tile order.
 
-    Returns (edges, tile counts, alias samples consumed).  The table is
+    Returns (edges, tile counts, alias samples consumed); the tile counts
+    are the part's `plan_tiles` result, planned once here.  The table is
     compiled once and reused across tiles.  Tile batches run on up to
-    `threads` threads without changing the bytes.  tiles, when given, is
-    the part's `plan_tiles` result, which is then not planned again; a
-    tile outside the 2^t grid or the part's rows, listed twice or with a
-    negative count raises ValueError before any unit runs.
+    `threads` threads without changing the bytes.
     """
-    cells = _part_cells(plan, params, table, part, threads, tiles)
-    total, units = _units(_compile(table), cells, plan.k, plan.t, plan.seed)
-    edges, samples = _collect(total, _stream_units(len(units), units, threads))
-    return edges, _tile_list(cells) if tiles is None else tiles, samples
+    cells = _part_cells(plan, params, table, part, threads)
+    edges, samples = _collect(*_fill(plan, table, cells, threads))
+    return edges, _tile_list(cells), samples
 
 
 def _part_cells(plan: PartitionPlan, params: RmatParams, table: FragmentTable, part: int,
-                threads: int, tiles) -> np.recarray:
-    """The part's tiles as a record array of dtype _CELL: given tiles checked, else planned.
+                threads: int) -> np.recarray:
+    """The part's planned tiles as a record array of dtype _CELL.
 
-    The table is checked against the model before any tile is planned.
+    The thread count and the table's model are checked before any tile is planned.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     _check_model(table, params)
-    if tiles is None:
-        return _plan_cells(plan, params, part)
-    cells = _cells(tiles)
-    _check_tiles(plan, part, cells)
-    return cells
+    return _plan_cells(plan, params, part)

@@ -206,6 +206,22 @@ def test_generate_partitioned_parts_sum_to_whole(tmp_path):
     assert np.array_equal(pack(merged), pack(read_binary(whole)))
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: parts own tile rows, and mirroring "
+                   "moves an edge of tile (r, c), r < c, into row c, which another part may own")
+@pytest.mark.parametrize("parts", [2, 3])
+def test_undirected_dedup_parts_union_equals_single_part(tmp_path, parts):
+    argv = ["generate", "-k", "6", "-m", "20000", "--tiles", "1", "--undirected", "--dedup"]
+    assert main([*argv, "-o", str(tmp_path / "whole.bin")]) == 0
+    pieces = []
+    for part in range(parts):
+        path = tmp_path / f"part{part}.bin"
+        assert main([*argv, "--parts", str(parts), "--part", str(part), "-o", str(path)]) == 0
+        pieces.append(read_binary(path))
+    union = [tuple(e) for e in np.concatenate(pieces).tolist()]
+    assert len(set(union)) == len(union)
+    assert set(union) == {tuple(e) for e in read_binary(tmp_path / "whole.bin").tolist()}
+
+
 def test_generate_part_without_rows_at_t0_writes_nothing(tmp_path, capsys):
     # One tile row for two parts: part 1 owns none, so it makes no edge.
     rc = main(["generate", "-k", "20", "-m", "100", "--tiles", "0", "--parts", "2",
@@ -369,7 +385,7 @@ def test_dedup_beyond_memory_exits_2_before_generating(tmp_path, capsys, monkeyp
         raise AssertionError("generated edges")
 
     # Each name is patched where it lives: cli imports the tiled and dedup ones when it runs.
-    for mod, name in ((cli_mod, "generate_stream"), (partition_mod, "generate_part_stream"),
+    for mod, name in ((cli_mod, "generate_stream"), (partition_mod, "_fill"),
                       (postprocess_mod, "dedup_stream")):
         monkeypatch.setattr(mod, name, unreachable)
     monkeypatch.setattr(cli_mod, "_physical_memory",
@@ -411,6 +427,19 @@ def test_dedup_bound_counts_the_part_edges(tmp_path, capsys, monkeypatch, spare,
         assert list(tmp_path.iterdir()) == []
     else:
         assert 0 < len(read_binary(path)) <= held
+
+
+def test_tiled_run_fills_from_its_one_plan(tmp_path, monkeypatch):
+    planned, filled = [], []
+    plan_cells, fill = partition_mod._plan_cells, partition_mod._fill
+    monkeypatch.setattr(partition_mod, "_plan_cells",
+                        lambda *a: planned.append(plan_cells(*a)) or planned[-1])
+    monkeypatch.setattr(partition_mod, "_fill", lambda *a: filled.append(a[2]) or fill(*a))
+    path = tmp_path / "x.bin"
+    argv = ["generate", "-k", "8", "-m", "1000", "--tiles", "2", "--parts", "2", "--part", "1"]
+    assert main([*argv, "-o", str(path)]) == 0
+    assert len(planned) == len(filled) == 1 and filled[0] is planned[0]
+    assert len(read_binary(path)) == int(planned[0].count.sum())
 
 
 def test_physical_memory_is_positive():

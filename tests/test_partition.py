@@ -269,10 +269,15 @@ def test_parts_plans_hold_m_edges_inside_their_rows():
 # --------------------------------------------------------------------- tiles
 
 
+def cell_array(tiles):
+    # TileCounts as the planner's _CELL record array, the form the fill reads.
+    return np.rec.array(np.array([tuple(tc) for tc in tiles], dtype=partition_mod._CELL))
+
+
 def fill_tile(tc, table, k, t, seed):
-    # A one-part plan owns every tile row, so it may be given any tile of the grid.
+    # One tile alone through the fill every part's tiles go through.
     plan = default_plan(k=k, t=t, m=tc.count, seed=seed)
-    return generate_part(plan, params_for(G500, k), table, tiles=[tc])[0]
+    return generator_mod._collect(*partition_mod._fill(plan, table, cell_array([tc]), 1))[0]
 
 
 def test_tile_fully_resolved_prefix_repeats_one_cell():
@@ -325,69 +330,6 @@ def test_tile_deterministic_and_tile_keyed():
     assert not np.array_equal(a & mask, c & mask)
 
 
-def test_tile_validation_errors(monkeypatch):
-    # Given tiles are checked where they enter, before a batch is formed.
-    def unreachable(*args):
-        raise AssertionError("batched a rejected tile")
-
-    params, table = params_for(G500, 6), variable_table(G500, 6, 253)
-    plan = default_plan(6, 2, 100, 1, parts=2)  # part 0 owns tile rows [0, 2)
-    good = [TileCount(1, 3, 40), TileCount(0, 0, 25)]
-    assert len(generate_part(plan, params, table, tiles=good)[0]) == 65
-    monkeypatch.setattr(partition_mod, "_units", unreachable)
-    cases = [
-        (0, [TileCount(4, 0, 3)], r"tile \(4, 0\) outside part 0's rows \[0, 2\) of the 2\^2"),
-        (0, [TileCount(0, 4, 3)], r"tile \(0, 4\) outside part 0's rows \[0, 2\) of the 2\^2"),
-        (0, [TileCount(-1, 0, 3)], r"tile \(-1, 0\) outside"),
-        (0, [*good, TileCount(3, 3, 2)], r"tile \(3, 3\) outside part 0's rows \[0, 2\)"),
-        (1, [TileCount(1, 0, 2)], r"tile \(1, 0\) outside part 1's rows \[2, 4\)"),
-        (0, [*good, TileCount(1, 3, 1)], r"tile \(1, 3\) listed twice"),
-        (0, [TileCount(0, 1, -1)], r"tile \(0, 1\) count must be >= 0, got -1"),
-        (2, [TileCount(0, 1, 1)], r"part must be in \[0, 2\)"),
-    ]
-    for part, tiles, match in cases:
-        with pytest.raises(ValueError, match=match):
-            generate_part(plan, params, table, part=part, tiles=tiles)
-        with pytest.raises(ValueError, match=match):
-            generate_part_stream(plan, params, table, part=part, tiles=tiles)
-
-
-def _check_oracle(plan, part, tiles):
-    # The tile check as one loop, the first bad tile in list order.
-    lo, hi = plan.owner_rows[part]
-    seen = set()
-    for row, col, count in tiles:
-        if not (lo <= row < hi and 0 <= col < 1 << plan.t):
-            return f"tile ({row}, {col}) outside part {part}'s rows [{lo}, {hi}) of the 2^{plan.t} grid"
-        if count < 0:
-            return f"tile ({row}, {col}) count must be >= 0, got {count}"
-        if (row, col) in seen:
-            return f"tile ({row}, {col}) listed twice"
-        seen.add((row, col))
-    return None
-
-
-def test_tile_check_names_the_first_bad_tile():
-    # Lists with several faults of every kind, some of them at once.
-    rng = np.random.default_rng(5)
-    plan = default_plan(k=10, t=3, m=100, seed=1, parts=3)  # rows [0, 3), [3, 6), [6, 8)
-    faults = 0
-    for _ in range(300):
-        n = int(rng.integers(1, 12))
-        tiles = [TileCount(int(r), int(c), int(n))
-                 for r, c, n in zip(rng.integers(-1, 9, n), rng.integers(-1, 9, n),
-                                    rng.integers(-2, 5, n))]
-        want = _check_oracle(plan, 1, tiles)
-        faults += want is not None
-        if want is None:
-            partition_mod._check_tiles(plan, 1, partition_mod._cells(tiles))
-        else:
-            with pytest.raises(ValueError) as err:
-                partition_mod._check_tiles(plan, 1, partition_mod._cells(tiles))
-            assert str(err.value) == want
-    assert faults > 250
-
-
 def _units_oracle(tiles):
     # Each tile cut from its start into pieces of a block, batched whole
     # until a batch holds a block: the (row, col, count, piece) of each
@@ -412,7 +354,7 @@ def _units_oracle(tiles):
                                    (6, 2, 0)])
 def test_units_match_the_batching_loop(k, t, m):
     tiles = plan_tiles(default_plan(k=k, t=t, m=m, seed=3), params_for(G500, k))
-    total, units = partition_mod._units(None, tiles, k, t, 3)
+    total, units = partition_mod._units(None, cell_array(tiles), k, t, 3)
     want_total, want = _units_oracle(tiles)
     # A batch gives the piece index of its first entry; the others are piece 0.
     got = [[(int(row), int(col), int(count), unit.args[-1] if i == 0 else 0)
@@ -436,8 +378,8 @@ def test_generate_part_count_and_conservation():
 
 
 def test_generate_part_plans_once_and_checks_nothing_it_planned(monkeypatch):
-    # Without tiles=, the tiles are planned as one array, filled from it and
-    # returned as the plan_tiles list; given tiles are still checked.
+    # The tiles are planned as one array, filled from it and returned as the
+    # plan_tiles list.
     k, t, m = 8, 2, 10**4
     params, table = params_for(G500, k), variable_table(G500, k, 253)
     plan = default_plan(k=k, t=t, m=m, seed=31, parts=2)
@@ -446,16 +388,10 @@ def test_generate_part_plans_once_and_checks_nothing_it_planned(monkeypatch):
     real_plan = partition_mod._plan_cells
     monkeypatch.setattr(partition_mod, "_plan_cells",
                         lambda *a: planned.append(a) or real_plan(*a))
-    checked = []
-    real_check = partition_mod._check_tiles
-    monkeypatch.setattr(partition_mod, "_check_tiles",
-                        lambda *a: checked.append(a) or real_check(*a))
     edges, tiles, _ = generate_part(plan, params, table, part=1)
-    assert (len(planned), checked) == (1, [])
+    assert len(planned) == 1
     assert tiles == expected and all(type(tc) is TileCount for tc in tiles)
     assert len(edges) == sum(tc.count for tc in tiles)
-    assert np.array_equal(generate_part(plan, params, table, part=1, tiles=tiles)[0], edges)
-    assert len(checked) == 1
 
 
 def test_generate_part_union_equals_single_part():
@@ -700,7 +636,7 @@ def test_generate_part_pool_bounded_by_units(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     plan, params, table = part_inputs("variable")
     tiles = plan_tiles(plan, params)
-    _, units = partition_mod._units(None, tiles, plan.k, plan.t, plan.seed)
+    _, units = partition_mod._units(None, cell_array(tiles), plan.k, plan.t, plan.seed)
     # 64 threads asked for: 5 batches bound the pool; with more than 8
     # batches the 8 cores do; a plan that fits one batch starts no pool at all.
     generate_part(plan, params, table, threads=64)
@@ -763,7 +699,7 @@ def test_split_tile_equals_one_unsplit_call(kind, count, monkeypatch):
     table = fixed_table(G500, k, 4) if kind == "fixed" else variable_table(G500, k, 1021)
     comp = generator_mod._compile(table)
     tc = TileCount(tile_row=2, tile_col=1, count=count)
-    total, units = partition_mod._units(comp, [tc], k, t, seed)
+    total, units = partition_mod._units(comp, cell_array([tc]), k, t, seed)
     assert total == count and len(units) == -(-count // DEFAULT_BLOCK_SIZE)
     pieces = [unit() for unit in units]
     monkeypatch.setattr(generator_mod, "_CHUNK_EDGES", count)
@@ -787,7 +723,7 @@ def test_split_tile_units_close_at_one_block():
     plan, params, _ = big_tile_inputs("variable")
     tiles = plan_tiles(plan, params)
     assert max(tc.count for tc in tiles) > 2 * DEFAULT_BLOCK_SIZE
-    total, units = partition_mod._units(None, tiles, plan.k, plan.t, plan.seed)
+    total, units = partition_mod._units(None, cell_array(tiles), plan.k, plan.t, plan.seed)
     sizes = [sum(tc.count for tc in unit.args[1]) for unit in units]
     assert sum(sizes) == total == plan.m
     assert max(sizes) < 2 * DEFAULT_BLOCK_SIZE

@@ -281,6 +281,30 @@ def test_stats_fixed_depth_exact():
         assert s.max_prob == pytest.approx(0.57**depth, rel=1e-9)
 
 
+def test_table_sums_take_no_blas_call(monkeypatch):
+    # np.dot over a table goes through threaded BLAS: milliseconds a call on
+    # a 2-core host, and low bits that move with its thread count.
+    from rmatgen.generator import _compile
+
+    def blas(*args, **kwargs):
+        raise AssertionError("np.dot over a table")
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "dot", blas)
+        tables = [fixed_table(G500, 20, 8), variable_table(G500, 20, 8191)]
+        comps = [_compile(t) for t in tables]
+        stats = [table_stats(t) for t in tables]
+    assert tables[0].mean_depth == comps[0].mean_depth == 8.0
+    assert comps[0].depth_sd == 0.0
+    for t, comp, s in zip(tables, comps, stats):
+        d = t.depths.astype(np.float64)
+        assert t.mean_depth == pytest.approx(np.dot(t.probs, d), rel=1e-14)
+        sd = math.sqrt(max(np.dot(t.probs, d * d) - t.mean_depth**2, 0.0))
+        assert comp.depth_sd == pytest.approx(sd, rel=1e-9, abs=1e-6)
+        info = -np.dot(t.probs, np.log2(t.probs))
+        assert s.expected_info == pytest.approx(info, rel=1e-14)
+
+
 def test_stats_graph500_s1021():
     # frozen from an independent entropy/expectation computation over the
     # built entry list
